@@ -303,9 +303,11 @@ fn coherent_sweep_slot_loop_is_allocation_free() {
 
 /// The daemon's steady-state shard slot loop (`SlotEngine::submit` +
 /// `SlotEngine::run_slot`, recording off) must be allocation-free: the
-/// bounded queues, batch/tag buffers, reply vector, and every `FiberUnit`
-/// arena reach their high-water marks during warmup and are reused
-/// thereafter.
+/// bounded queues, batch/tag buffers, channel index, reply vector, and every
+/// `FiberUnit` arena reach their high-water marks during warmup and are
+/// reused thereafter. The repeated-channels config sends each chosen input
+/// channel twice, toward different destinations, so every slot also runs the
+/// channel index's collision path (one copy admitted, the other source-busy).
 ///
 /// Called from the single `#[test]` above — the counters are process-global.
 fn serve_slot_loop_is_allocation_free() {
@@ -318,39 +320,51 @@ fn serve_slot_loop_is_allocation_free() {
     const WARMUP: u64 = 32;
     const MEASURED: u64 = 512;
 
+    // (name, conversion, policy, copies of each submitted request).
     let configs = [
-        ("serve/auto-circular", Conversion::symmetric_circular(K, 5).unwrap(), P::Auto),
-        ("serve/fa", Conversion::symmetric_non_circular(K, 5).unwrap(), P::FirstAvailable),
-        ("serve/bfa", Conversion::symmetric_circular(K, 5).unwrap(), P::BreakFirstAvailable),
-        ("serve/approx", Conversion::symmetric_circular(K, 5).unwrap(), P::Approximate),
+        ("serve/auto-circular", Conversion::symmetric_circular(K, 5).unwrap(), P::Auto, 1),
+        ("serve/fa", Conversion::symmetric_non_circular(K, 5).unwrap(), P::FirstAvailable, 1),
+        ("serve/bfa", Conversion::symmetric_circular(K, 5).unwrap(), P::BreakFirstAvailable, 1),
+        ("serve/approx", Conversion::symmetric_circular(K, 5).unwrap(), P::Approximate, 1),
+        (
+            "serve/bfa-repeated-channels",
+            Conversion::symmetric_circular(K, 5).unwrap(),
+            P::BreakFirstAvailable,
+            2,
+        ),
     ];
 
     // One slot of submissions: same shape every slot (~60% of (fiber,
-    // wavelength) pairs), so buffer high-water marks are hit in warmup.
-    let submit_slot = |engine: &mut SlotEngine, rng: &mut Rng, next_id: &mut u64| {
+    // wavelength) pairs, each sent `copies` times toward consecutive
+    // destinations), so buffer high-water marks are hit in warmup.
+    let submit_slot = |engine: &mut SlotEngine, rng: &mut Rng, next_id: &mut u64, copies: usize| {
         for fiber in 0..N {
             for w in 0..K {
                 let r = rng.next();
                 if r % 10 >= 6 {
                     continue;
                 }
-                let req = SubmitRequest {
-                    id: *next_id,
-                    src_fiber: fiber as u32,
-                    src_wavelength: w as u32,
-                    dst_fiber: ((r >> 8) % N as u64) as u32,
-                    duration: 1 + ((r >> 16) % 3) as u32,
-                };
-                *next_id += 1;
-                if let Some(_reply) = engine.submit(0, req) {
-                    // Admission denies are normal here (duplicate source
-                    // channels); the reply is plain data, not an allocation.
+                let dst = (r >> 8) as usize % N;
+                for copy in 0..copies {
+                    let req = SubmitRequest {
+                        id: *next_id,
+                        src_fiber: fiber as u32,
+                        src_wavelength: w as u32,
+                        dst_fiber: ((dst + copy) % N) as u32,
+                        duration: 1 + ((r >> 16) % 3) as u32,
+                    };
+                    *next_id += 1;
+                    if let Some(_reply) = engine.submit(0, req) {
+                        // `submit` denies only invalid requests and full
+                        // queues, and neither occurs here; the reply is
+                        // plain data, not an allocation.
+                    }
                 }
             }
         }
     };
 
-    for (name, conv, policy) in configs {
+    for (name, conv, policy, copies) in configs {
         let mut engine = SlotEngine::new(EngineConfig::new(N, conv, policy)).unwrap();
         let mut out = Vec::new();
         let mut rng = Rng(0x5EED_0002);
@@ -358,9 +372,10 @@ fn serve_slot_loop_is_allocation_free() {
 
         let mut grants = 0usize;
         // Prime every buffer to its structural maximum: one slot sending
-        // all N*K source channels to a single destination grows that shard's
-        // queue, the batch/tag/reply buffers, and the per-fiber partition to
-        // the largest size any slot can produce; the fiber→fiber slot maxes
+        // all N*K source channels to a single destination (each copy to the
+        // next one) grows that shard's queue, the batch/tag/reply buffers,
+        // and the per-fiber partition to the largest size any slot can
+        // produce; the fiber→fiber slot maxes
         // the grant vector (all N*K grants) and, with duration 3, the active
         // tables (bounded by K occupied output channels per fiber).
         for fiber in 0..N {
@@ -388,22 +403,24 @@ fn serve_slot_loop_is_allocation_free() {
         for dst in 0..N {
             for fiber in 0..N {
                 for w in 0..K {
-                    let req = SubmitRequest {
-                        id: next_id,
-                        src_fiber: fiber as u32,
-                        src_wavelength: w as u32,
-                        dst_fiber: dst as u32,
-                        duration: 3,
-                    };
-                    next_id += 1;
-                    if let Some(_reply) = engine.submit(0, req) {}
+                    for copy in 0..copies {
+                        let req = SubmitRequest {
+                            id: next_id,
+                            src_fiber: fiber as u32,
+                            src_wavelength: w as u32,
+                            dst_fiber: ((dst + copy) % N) as u32,
+                            duration: 3,
+                        };
+                        next_id += 1;
+                        if let Some(_reply) = engine.submit(0, req) {}
+                    }
                 }
             }
             out.clear();
             grants += engine.run_slot(&mut out).grants;
         }
         for _ in 0..WARMUP {
-            submit_slot(&mut engine, &mut rng, &mut next_id);
+            submit_slot(&mut engine, &mut rng, &mut next_id, copies);
             out.clear();
             grants += engine.run_slot(&mut out).grants;
         }
@@ -413,7 +430,7 @@ fn serve_slot_loop_is_allocation_free() {
         let before = ALLOC.heap_events();
         ALLOC.trap_backtraces(!cfg!(debug_assertions));
         for _ in 0..MEASURED {
-            submit_slot(&mut engine, &mut rng, &mut next_id);
+            submit_slot(&mut engine, &mut rng, &mut next_id, copies);
             out.clear();
             grants += engine.run_slot(&mut out).grants;
         }

@@ -24,7 +24,8 @@ use wdm_attr::{allow_reach, hot_path, panic_free};
 use wdm_core::{Conversion, ConversionKind, Error, Policy};
 use wdm_interconnect::{
     ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig, PreemptionPolicy,
-    RejectReason, Reservation, ReservationRequest, SlotResult, DEFAULT_RESERVATION_HORIZON,
+    RejectReason, Rejection, Reservation, ReservationRequest, SlotResult,
+    DEFAULT_RESERVATION_HORIZON,
 };
 use wdm_scenario::{DisruptionChange, DisruptionEvent};
 use wdm_sim::trace::{SessionTrace, TraceConfig};
@@ -182,11 +183,11 @@ pub struct SlotEngine {
     queues: ShardQueues<Tagged>,
     // Per-slot scratch, reused across slots (zero allocations at steady
     // state): the drained batch, its (conn, id) tags, the engine result,
-    // and the consumed flags used to map grants back to tags.
+    // and the channel index that maps each verdict back to its tag.
     batch: Vec<ConnectionRequest>,
     tags: Vec<(u64, u64)>,
     result: SlotResult,
-    consumed: Vec<bool>,
+    index: ChannelIndex,
     // Admitted-but-not-yet-activated reservations. An entry leaves the
     // map exactly once — at activation (grant or expiry), at an
     // owner-checked release, or when a fiber outage cancels the booking
@@ -242,7 +243,7 @@ impl SlotEngine {
             batch: Vec::new(),
             tags: Vec::new(),
             result: SlotResult::default(),
-            consumed: Vec::new(),
+            index: ChannelIndex::new(config.n, k),
             holds: Vec::new(),
             trace,
         })
@@ -431,8 +432,7 @@ impl SlotEngine {
             self.engine.advance_slot_into(&self.batch, &mut self.result),
             "submit() validated every queued request",
         );
-        self.consumed.clear();
-        self.consumed.resize(self.batch.len(), false);
+        self.index.link(&self.batch, &self.result.rejections);
         // Activated reservations lead the grant stream: under the default
         // ReservedFirst preemption they were scheduled first, and keeping
         // one fixed stream order makes replays deterministic either way.
@@ -453,7 +453,7 @@ impl SlotEngine {
         }
         let mut grants = 0usize;
         for (seq, g) in self.result.grants.iter().enumerate() {
-            let (conn, id) = claim_tag(&self.batch, &mut self.consumed, &self.tags, &g.request);
+            let (conn, id) = tag_of(&self.tags, self.index.claim_admitted(&self.batch, &g.request));
             let output_wavelength = expect_invariant(
                 u32::try_from(g.output_wavelength),
                 "k fits in u32 (checked at construction)",
@@ -471,11 +471,16 @@ impl SlotEngine {
         }
         let mut denies = 0usize;
         for r in &self.result.rejections {
-            let (conn, id) = claim_tag(&self.batch, &mut self.consumed, &self.tags, &r.request);
-            let reason = match r.reason {
-                RejectReason::SourceBusy => DenyReason::SourceBusy,
-                RejectReason::OutputContention => DenyReason::OutputContention,
+            let (entry, reason) = match r.reason {
+                RejectReason::SourceBusy => {
+                    (self.index.claim_busy(&self.batch, &r.request), DenyReason::SourceBusy)
+                }
+                RejectReason::OutputContention => (
+                    self.index.claim_admitted(&self.batch, &r.request),
+                    DenyReason::OutputContention,
+                ),
             };
+            let (conn, id) = tag_of(&self.tags, entry);
             out.push(Reply {
                 conn,
                 id,
@@ -617,26 +622,133 @@ fn claim_hold(holds: &mut Vec<Hold>, reservation: u64) -> (u64, u64) {
     (hold.conn, hold.id)
 }
 
-/// Maps an engine grant/rejection back to the (conn, id) tag of the first
-/// unconsumed batch entry carrying the same request. Exhaustive: the engine
-/// answers every admitted request exactly once per slot.
+/// The (conn, id) tag of the batch entry a verdict claimed. Exhaustive: the
+/// engine answers every admitted request exactly once per slot.
 #[allow_reach(
     panic_free,
-    reason = "consumed and tags are resized to batch.len() every slot and the engine answers every admitted request exactly once; an unmatched reply is unrecoverable state corruption"
+    reason = "tags is filled in step with the batch every slot and the engine answers every admitted request exactly once, each claim finding its entry by the admission invariant ChannelIndex documents; an unmatched reply is unrecoverable state corruption"
 )]
-fn claim_tag(
-    batch: &[ConnectionRequest],
-    consumed: &mut [bool],
-    tags: &[(u64, u64)],
-    request: &ConnectionRequest,
-) -> (u64, u64) {
-    for (j, b) in batch.iter().enumerate() {
-        if !consumed[j] && b == request {
-            consumed[j] = true;
-            return tags[j];
+fn tag_of(tags: &[(u64, u64)], entry: Option<usize>) -> (u64, u64) {
+    match entry.and_then(|i| tags.get(i)) {
+        Some(&tag) => tag,
+        None => unreachable!("engine replied to a request that was never admitted"),
+    }
+}
+
+/// End of a chain in [`ChannelIndex`].
+const NIL: usize = usize::MAX;
+
+/// The slot's drained batch indexed by input channel (`src_fiber * k +
+/// src_wavelength`), so each verdict finds the batch entry it answers in
+/// O(1).
+///
+/// Source admission in [`Interconnect::advance_slot_into`] lets at most one
+/// request per input channel through per slot: the channel's first batch
+/// entry, unless an earlier connection or an activating reservation holds
+/// the channel. So a grant or an output-contention deny answers its
+/// channel's first entry, and every other entry on the channel is a
+/// source-busy deny, listed in batch order. Entries are unlinked as they
+/// are claimed, and the tables are reused across slots.
+#[derive(Debug)]
+struct ChannelIndex {
+    k: usize,
+    /// Per input channel: the first unclaimed batch entry, or [`NIL`].
+    /// Valid only for the channels of the current batch.
+    head: Vec<usize>,
+    /// Per input channel: the admitted first entry lost output contention
+    /// and still awaits its deny, so source-busy claims pass over it.
+    lost: Vec<bool>,
+    /// Per batch entry: the next entry on its channel, or [`NIL`].
+    next: Vec<usize>,
+}
+
+impl ChannelIndex {
+    fn new(n: usize, k: usize) -> ChannelIndex {
+        ChannelIndex { k, head: vec![NIL; n * k], lost: vec![false; n * k], next: Vec::new() }
+    }
+
+    fn channel(&self, request: &ConnectionRequest) -> usize {
+        request.src_fiber * self.k + request.src_wavelength
+    }
+
+    /// Chains every batch entry onto its input channel in batch order, and
+    /// marks the channels whose admitted entry lost output contention.
+    fn link(&mut self, batch: &[ConnectionRequest], rejections: &[Rejection]) {
+        for r in batch {
+            let c = self.channel(r);
+            if let (Some(head), Some(lost)) = (self.head.get_mut(c), self.lost.get_mut(c)) {
+                *head = NIL;
+                *lost = false;
+            }
+        }
+        self.next.clear();
+        self.next.resize(batch.len(), NIL);
+        // Prepending in reverse batch order leaves each chain in batch order.
+        for (i, r) in batch.iter().enumerate().rev() {
+            let c = self.channel(r);
+            if let (Some(head), Some(next)) = (self.head.get_mut(c), self.next.get_mut(i)) {
+                *next = *head;
+                *head = i;
+            }
+        }
+        for r in rejections {
+            if r.reason == RejectReason::OutputContention {
+                let c = self.channel(&r.request);
+                if let Some(lost) = self.lost.get_mut(c) {
+                    *lost = true;
+                }
+            }
         }
     }
-    unreachable!("engine replied to a request that was never admitted")
+
+    /// Claims the entry admission let through on `request`'s channel, which
+    /// a grant or an output-contention deny answers: the channel's first
+    /// unclaimed entry. `None` when that entry does not carry `request`.
+    fn claim_admitted(
+        &mut self,
+        batch: &[ConnectionRequest],
+        request: &ConnectionRequest,
+    ) -> Option<usize> {
+        let c = self.channel(request);
+        let first = *self.head.get(c)?;
+        if batch.get(first)? != request {
+            return None;
+        }
+        *self.head.get_mut(c)? = *self.next.get(first)?;
+        *self.lost.get_mut(c)? = false;
+        Some(first)
+    }
+
+    /// Claims the first unclaimed entry carrying `request` that admission
+    /// turned away, which a source-busy deny answers. It passes over an
+    /// admitted entry whose contention deny is still to come.
+    fn claim_busy(
+        &mut self,
+        batch: &[ConnectionRequest],
+        request: &ConnectionRequest,
+    ) -> Option<usize> {
+        let c = self.channel(request);
+        // `prev` holds the link to `cur`; `None` means the channel head.
+        let (mut prev, mut cur) = (None, *self.head.get(c)?);
+        if *self.lost.get(c)? {
+            prev = Some(cur);
+            cur = *self.next.get(cur)?;
+        }
+        while cur != NIL {
+            let after = *self.next.get(cur)?;
+            if batch.get(cur)? == request {
+                let link = match prev {
+                    Some(p) => self.next.get_mut(p)?,
+                    None => self.head.get_mut(c)?,
+                };
+                *link = after;
+                return Some(cur);
+            }
+            prev = Some(cur);
+            cur = after;
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -679,6 +791,35 @@ mod tests {
         assert_eq!(denied.id, 11);
         assert_eq!(denied.conn, 1);
         assert!(matches!(denied.verdict, Verdict::Denied { reason: DenyReason::SourceBusy, .. }));
+    }
+
+    #[test]
+    fn identical_requests_keep_their_own_deny_reasons() {
+        let mut e = engine(false);
+        // Bursts from fibers 1–3 on λ0 fill λ5, λ0 and λ1 of fiber 0: all
+        // of λ0's d = 3 conversion window.
+        for fiber in 1..4 {
+            assert!(e.submit(0, req(fiber.into(), fiber, 0, 0, 5)).is_none());
+        }
+        let mut out = Vec::new();
+        assert_eq!(e.run_slot(&mut out).grants, 3);
+        out.clear();
+        // Two connections send the same request. Admission lets the first
+        // through and it loses output contention; the second finds its
+        // source channel taken.
+        assert!(e.submit(1, req(10, 0, 0, 0, 1)).is_none());
+        assert!(e.submit(2, req(20, 0, 0, 0, 1)).is_none());
+        let summary = e.run_slot(&mut out);
+        assert_eq!((summary.grants, summary.denies), (0, 2));
+        let reason = |conn: u64, id: u64| {
+            let reply = out.iter().find(|r| (r.conn, r.id) == (conn, id)).unwrap();
+            let Verdict::Denied { reason, .. } = reply.verdict else {
+                panic!("expected a deny, got {reply:?}")
+            };
+            reason
+        };
+        assert_eq!(reason(1, 10), DenyReason::OutputContention);
+        assert_eq!(reason(2, 20), DenyReason::SourceBusy);
     }
 
     #[test]
