@@ -337,13 +337,13 @@ impl From<std::io::Error> for ProtocolError {
     }
 }
 
-/// A little-endian payload writer over a reused byte buffer.
-#[derive(Debug, Default)]
-struct Payload {
-    buf: Vec<u8>,
+/// A little-endian payload writer appending to a caller-owned buffer.
+#[derive(Debug)]
+struct Payload<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Payload {
+impl Payload<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -410,11 +410,39 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encodes and writes one frame (length prefix + payload). The writer is
-/// not flushed — batch frames, then flush once per slot.
+/// Appends one frame — `u32` little-endian payload length, then the
+/// payload — to `buf`, after whatever it already holds. On error `buf` is
+/// left exactly as it was, so a caller batching frames never emits a torn
+/// one.
+#[wdm_attr::panic_free]
+pub fn encode_frame(buf: &mut Vec<u8>, frame: &Frame) -> Result<(), ProtocolError> {
+    let start = buf.len();
+    let appended = append_frame(buf, frame);
+    if appended.is_err() {
+        buf.truncate(start);
+    }
+    appended
+}
+
+/// Encodes and writes one frame (length prefix + payload) with a single
+/// `write_all`. The writer is not flushed — batch frames, then flush once
+/// per slot. Allocates the frame's bytes; a caller writing many frames
+/// should reuse a buffer through [`encode_frame`] instead.
 #[wdm_attr::panic_free]
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtocolError> {
-    let mut p = Payload::default();
+    // Every fixed-layout frame (33 bytes at most) fits without regrowing.
+    let mut buf = Vec::with_capacity(64);
+    encode_frame(&mut buf, frame)?;
+    w.write_all(&buf)?;
+    Ok(())
+}
+
+/// [`encode_frame`]'s body; on error it may leave part of the frame behind.
+fn append_frame(buf: &mut Vec<u8>, frame: &Frame) -> Result<(), ProtocolError> {
+    let start = buf.len();
+    // Length-prefix placeholder, patched once the payload length is known.
+    buf.extend_from_slice(&[0; 4]);
+    let mut p = Payload { buf };
     match frame {
         Frame::Hello { version } => {
             p.u8(TAG_HELLO);
@@ -496,14 +524,15 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtocolErr
             p.bytes(msg);
         }
     }
-    let Ok(len) = u32::try_from(p.buf.len()) else {
+    let Ok(len) = u32::try_from(p.buf.len() - start - 4) else {
         return Err(ProtocolError::FrameTooLarge { len: u32::MAX });
     };
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge { len });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&p.buf)?;
+    if let Some(prefix) = p.buf.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
     Ok(())
 }
 

@@ -46,7 +46,7 @@
 //! 3. The coordinator sends the final `Finish` event and drops its results
 //!    sender. The results writer drains the (already fully populated)
 //!    event queue in order — replies strictly before their slot's
-//!    completion broadcast — then flushes and closes every socket.
+//!    completion broadcast — then writes out and closes every socket.
 //! 4. The coordinator joins the results writer, then every reader: their
 //!    sockets are closed (step 3), so blocked reads fail and the readers
 //!    exit. A reader racing shutdown sees a typed [`SendError`] from the
@@ -291,7 +291,7 @@ impl StopFlag {
 /// The published-slot counter shared coordinator → results writer.
 ///
 /// The coordinator [`publish`](SlotSequence::publish)es each slot *before*
-/// enqueuing its `SlotDone` event; the results writer
+/// enqueuing its slot event; the results writer
 /// [`confirm`](SlotSequence::confirm)s on receipt. Both sides assert the
 /// monotone-dense discipline (slot `s` is published exactly once, after
 /// `s-1`), so a duplicated, reordered, or skipped slot broadcast trips an

@@ -13,11 +13,14 @@
 //! * **coordinator** (the [`Server::run`] thread) — drains intake until the
 //!   slot boundary, ticks the [`crate::SlotClock`], runs
 //!   [`SlotEngine::run_slot`], publishes the slot to the shared
-//!   [`SlotSequence`], and hands the reply stream to the results thread;
-//! * **results** — owns every connection's buffered write half, encodes
-//!   grant/deny frames, broadcasts SLOT_COMPLETE (confirming each slot
-//!   against the [`SlotSequence`]), and flushes whenever its queue goes
-//!   momentarily empty (prompt when quiet, batched under load).
+//!   [`SlotSequence`], and hands the slot's replies to the results thread
+//!   as one event;
+//! * **results** — owns every connection's write half and one reused byte
+//!   buffer per connection. It encodes grant/deny frames into the
+//!   buffers, appends SLOT_COMPLETE to every connection (confirming each
+//!   slot against the [`SlotSequence`]), and writes each buffer with one
+//!   `write_all` whenever its queue goes momentarily empty (prompt when
+//!   quiet, batched under load) or the buffer passes `WRITE_BOUND`.
 //!
 //! Every cross-thread structure here comes from [`crate::serve_sync`],
 //! whose loom model (`tests/loom_serve.rs`) exhaustively checks the
@@ -26,6 +29,7 @@
 //! the configured `max_slots` stops the loop after the in-flight slot, and
 //! queued requests are answered before the sockets close.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +39,7 @@ use wdm_sim::trace::SessionTrace;
 use crate::clock::SlotClock;
 use crate::engine::{EngineConfig, Reply, SlotEngine, Verdict};
 use crate::protocol::{
-    read_frame, write_frame, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
+    encode_frame, read_frame, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
 use crate::scenario::{ScenarioRuntime, ScenarioSummary};
 use crate::serve_sync::{
@@ -46,12 +50,24 @@ use crate::serve_sync::{
 /// coordinator before blocking (per server, not per connection).
 const INTAKE_DEPTH: usize = 4096;
 
-/// How many un-encoded result events the producers may buffer ahead of the
-/// results writer. Bounded like every other queue in the daemon; this can
-/// never deadlock because events flow into the results thread only — it
-/// sends nothing back — so a full queue merely paces the coordinator to
-/// the write side's drain rate.
-const RESULTS_DEPTH: usize = 8192;
+/// How many result events the producers may buffer ahead of the results
+/// writer. A slot travels as one event carrying all its replies and every
+/// other event carries at most one, so the coordinator runs at most
+/// `RESULTS_DEPTH` slots ahead of the socket writes. A slot answers the
+/// requests it drained (at most `n · queue_capacity`), the reservations
+/// due in it (at most `n · k`: the ledger books an input channel to one
+/// reservation at a time), and the reservations an outage cancelled in
+/// it. Outages aside, the queue thus holds at most
+/// `8 · (n · queue_capacity + n · k)` replies — 69 632 with the default
+/// 1 024-entry queues at `n = 8`, `k = 64`. This can never deadlock:
+/// events flow into the results thread only — it sends nothing back — so a
+/// full queue merely paces the coordinator to the write side's drain rate.
+const RESULTS_DEPTH: usize = 8;
+
+/// Bytes a connection's write buffer may reach before the results thread
+/// writes it out without waiting for its queue to go quiet, so a buffer
+/// never holds more than this plus one frame.
+const WRITE_BOUND: usize = 8 * 1024;
 
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_micros(500);
@@ -114,14 +130,17 @@ enum InEvent {
     Shutdown,
 }
 
-/// Events flowing acceptor/readers/coordinator → results writer.
+/// Events flowing acceptor/readers/coordinator → results writer. An
+/// admission deny or RESERVE ack travels alone as a `Reply`; a slot's
+/// replies travel together, in engine order, as one `Slot`, which the
+/// writer follows with the slot's SLOT_COMPLETE.
 #[derive(Debug)]
 enum OutEvent {
     Register { conn: u64, stream: TcpStream },
     HelloOk { conn: u64 },
     Fatal { conn: u64, code: u32, message: String },
     Reply(Reply),
-    SlotDone { slot: u64 },
+    Slot { slot: u64, replies: Vec<Reply> },
     Close { conn: u64 },
     Finish,
 }
@@ -237,13 +256,13 @@ impl Server {
                 continue;
             }
 
-            // 2. The slot: drain shards, schedule, stream replies. The slot
-            // is published to the shared sequence *before* its SlotDone
-            // event is enqueued (the results thread confirms the order).
-            // Scenario disruptions and fallback decisions land first, so a
-            // failure planned for slot s is in force when s is scheduled;
-            // replies to outage-cancelled reservations lead the stream.
-            out.clear();
+            // 2. The slot: drain shards, schedule, hand the replies over as
+            // one event. The slot is published to the shared sequence
+            // *before* its event is enqueued (the results thread confirms
+            // the order). Scenario disruptions and fallback decisions land
+            // first, so a failure planned for slot s is in force when s is
+            // scheduled; replies to outage-cancelled reservations lead the
+            // stream.
             if let Some(rt) = scenario.as_mut() {
                 rt.before_slot(&mut engine, clock.lag_slots(), &mut out);
             }
@@ -252,11 +271,12 @@ impl Server {
             report.denies += summary.denies as u64;
             report.reservation_grants += summary.reservation_grants as u64;
             report.reservation_expiries += summary.reservation_expiries as u64;
-            for r in &out {
-                send_out(&out_tx, OutEvent::Reply(*r))?;
-            }
+            // The next slot's vector starts at this one's size, so it
+            // rarely regrows.
+            let next = Vec::with_capacity(out.len());
+            let replies = std::mem::replace(&mut out, next);
             slot_seq.publish(summary.slot);
-            send_out(&out_tx, OutEvent::SlotDone { slot: summary.slot })?;
+            send_out(&out_tx, OutEvent::Slot { slot: summary.slot, replies })?;
             report.slots += 1;
 
             if stop && engine.pending() == 0 {
@@ -483,19 +503,42 @@ fn reader_loop(conn: u64, stream: TcpStream, in_tx: &Sender<InEvent>, out_tx: &S
     }
 }
 
-/// The single writer thread: owns every connection's buffered write half.
+/// One connection's write side: the socket, and the frames encoded for it
+/// since the last write. The buffer is reused, so encoding a steady
+/// stream allocates nothing.
+#[derive(Debug)]
+struct ConnWriter {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl ConnWriter {
+    /// Writes the buffered frames with one `write_all` and empties the
+    /// buffer; `false` on a transport error.
+    fn write_out(&mut self) -> bool {
+        if self.buf.is_empty() {
+            return true;
+        }
+        let written = self.stream.write_all(&self.buf).is_ok();
+        self.buf.clear();
+        written
+    }
+}
+
+/// The single writer thread: owns every connection's write side.
 fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotSequence) {
     // Connection ids are dense and small; a Vec doubles as the map.
-    let mut writers: Vec<Option<std::io::BufWriter<TcpStream>>> = Vec::new();
+    let mut writers: Vec<Option<ConnWriter>> = Vec::new();
     let mut dirty = false;
     loop {
-        // Flush-on-quiet: batch while the queue has depth, flush the moment
-        // it empties so a lone reply never waits for the next slot.
+        // Write-on-quiet: batch while the queue has depth, write every
+        // buffer the moment it empties so a lone reply never waits for the
+        // next slot.
         let ev = match out_rx.try_recv() {
             Ok(ev) => ev,
             Err(TryRecvError::Empty) => {
                 if dirty {
-                    flush_all(&mut writers);
+                    write_all_out(&mut writers);
                     dirty = false;
                 }
                 match out_rx.recv() {
@@ -511,7 +554,7 @@ fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotS
                 if writers.len() <= idx {
                     writers.resize_with(idx + 1, || None);
                 }
-                writers[idx] = Some(std::io::BufWriter::new(stream));
+                writers[idx] = Some(ConnWriter { stream, buf: Vec::new() });
             }
             OutEvent::HelloOk { conn } => {
                 let ack = Frame::HelloAck {
@@ -528,23 +571,15 @@ fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotS
                 close_conn(&mut writers, conn);
             }
             OutEvent::Reply(reply) => {
-                let frame = match reply.verdict {
-                    Verdict::Granted { seq, output_wavelength } => {
-                        Frame::Grant { slot: reply.slot, seq, id: reply.id, output_wavelength }
-                    }
-                    Verdict::Denied { reason, retry_after_slots } => {
-                        Frame::Deny { slot: reply.slot, id: reply.id, reason, retry_after_slots }
-                    }
-                    Verdict::Reserved { reservation, start_slot } => {
-                        Frame::ReserveAck { id: reply.id, reservation_id: reservation, start_slot }
-                    }
-                };
-                send_to(&mut writers, reply.conn, &frame);
+                send_to(&mut writers, reply.conn, &reply_frame(&reply));
                 dirty = true;
             }
-            OutEvent::SlotDone { slot } => {
-                // Publish-before-notify: the coordinator published this
-                // slot before enqueuing the event.
+            OutEvent::Slot { slot, replies } => {
+                for reply in &replies {
+                    send_to(&mut writers, reply.conn, &reply_frame(reply));
+                }
+                // Publish-before-send: the coordinator published this slot
+                // before enqueuing the event.
                 slot_seq.confirm(slot);
                 for conn in 0..writers.len() as u64 {
                     send_to(&mut writers, conn, &Frame::SlotComplete { slot });
@@ -553,7 +588,6 @@ fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotS
             }
             OutEvent::Close { conn } => close_conn(&mut writers, conn),
             OutEvent::Finish => {
-                flush_all(&mut writers);
                 for conn in 0..writers.len() as u64 {
                     close_conn(&mut writers, conn);
                 }
@@ -563,40 +597,56 @@ fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotS
     }
 }
 
-/// Writes a frame to one connection; a write failure drops the writer (the
-/// reader side notices the closed socket and unwinds the connection).
-fn send_to(writers: &mut [Option<std::io::BufWriter<TcpStream>>], conn: u64, frame: &Frame) {
-    let idx = conn as usize;
-    let Some(slot) = writers.get_mut(idx) else {
+/// The GRANT, DENY, or RESERVE_ACK frame answering one reply.
+fn reply_frame(reply: &Reply) -> Frame {
+    match reply.verdict {
+        Verdict::Granted { seq, output_wavelength } => {
+            Frame::Grant { slot: reply.slot, seq, id: reply.id, output_wavelength }
+        }
+        Verdict::Denied { reason, retry_after_slots } => {
+            Frame::Deny { slot: reply.slot, id: reply.id, reason, retry_after_slots }
+        }
+        Verdict::Reserved { reservation, start_slot } => {
+            Frame::ReserveAck { id: reply.id, reservation_id: reservation, start_slot }
+        }
+    }
+}
+
+/// Appends a frame to one connection's buffer and writes the buffer out
+/// once it passes [`WRITE_BOUND`]. A failure drops the writer (the reader
+/// side notices the closed socket and unwinds the connection).
+fn send_to(writers: &mut [Option<ConnWriter>], conn: u64, frame: &Frame) {
+    let Some(slot) = writers.get_mut(conn as usize) else {
         return;
     };
     let Some(w) = slot.as_mut() else {
         return;
     };
-    if write_frame(w, frame).is_err() {
+    let sent =
+        encode_frame(&mut w.buf, frame).is_ok() && (w.buf.len() < WRITE_BOUND || w.write_out());
+    if !sent {
         *slot = None;
     }
 }
 
-fn flush_all(writers: &mut [Option<std::io::BufWriter<TcpStream>>]) {
+/// Writes out every connection's buffer; a failure drops that writer.
+fn write_all_out(writers: &mut [Option<ConnWriter>]) {
     for slot in writers.iter_mut() {
-        if let Some(w) = slot.as_mut() {
-            if std::io::Write::flush(w).is_err() {
-                *slot = None;
-            }
+        if slot.as_mut().is_some_and(|w| !w.write_out()) {
+            *slot = None;
         }
     }
 }
 
-/// Flushes, shuts the socket down both ways (unblocking the reader thread),
-/// and forgets the writer.
-fn close_conn(writers: &mut [Option<std::io::BufWriter<TcpStream>>], conn: u64) {
-    let idx = conn as usize;
-    let Some(slot) = writers.get_mut(idx) else {
+/// Writes out what is buffered, shuts the socket down both ways
+/// (unblocking the reader thread), and forgets the writer.
+fn close_conn(writers: &mut [Option<ConnWriter>], conn: u64) {
+    let Some(slot) = writers.get_mut(conn as usize) else {
         return;
     };
     if let Some(mut w) = slot.take() {
-        let _ = std::io::Write::flush(&mut w);
-        let _ = w.get_ref().shutdown(std::net::Shutdown::Both);
+        // Best effort: the connection closes whether or not the tail lands.
+        let _ = w.write_out();
+        let _ = w.stream.shutdown(std::net::Shutdown::Both);
     }
 }

@@ -14,6 +14,11 @@
 //! boundary (`4 + advertised_len` bytes), which is what the counting reader
 //! checks. Run the `#[ignore]`d `regenerate_corpus` test to rebuild the
 //! corpus deterministically after a wire-format change.
+//!
+//! The same frame generator also checks the encoder the daemon batches
+//! with: [`encode_frame`] appends every frame kind after whatever a buffer
+//! already holds, byte-identical to [`write_frame`], and a failing encode
+//! leaves the buffer untouched.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -21,8 +26,8 @@ use std::io::Read;
 
 use proptest::prelude::*;
 use wdm_serve::protocol::{
-    read_frame, write_frame, DenyReason, Frame, ReserveRequest, SubmitRequest, MAGIC,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    encode_frame, read_frame, write_frame, DenyReason, Frame, ProtocolError, ReserveRequest,
+    SubmitRequest, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// A reader over a byte slice that records how many bytes were consumed,
@@ -211,6 +216,33 @@ proptest! {
         let _ = decode_counted(&bytes);
     }
 
+    /// Every frame kind, appended one after another behind arbitrary
+    /// earlier bytes: each append leaves what was there intact, the whole
+    /// buffer equals the same frames through `write_frame`, and the frames
+    /// read back in order.
+    #[test]
+    fn encode_frame_appends_every_kind_after_existing_bytes(
+        (a, b, len) in (0u64..1 << 48, 0u32..1 << 20, 0usize..64),
+        prefix in proptest::collection::vec(0u8..=255, 1usize..32),
+    ) {
+        let frames: Vec<Frame> = (0..11).map(|kind| build_frame(kind, a, b, len)).collect();
+        let mut buf = prefix.clone();
+        let mut written = prefix.clone();
+        for frame in &frames {
+            let before = buf.clone();
+            encode_frame(&mut buf, frame).unwrap();
+            prop_assert_eq!(&buf[..before.len()], &before[..], "earlier bytes changed");
+            write_frame(&mut written, frame).unwrap();
+        }
+        prop_assert_eq!(&buf, &written);
+        let mut rest = &buf[prefix.len()..];
+        for frame in &frames {
+            prop_assert_eq!(&decode_counted(rest).unwrap(), frame);
+            read_frame(&mut rest).unwrap();
+        }
+        prop_assert!(rest.is_empty());
+    }
+
     /// Double corruption: two independent mutations stack.
     #[test]
     fn doubly_mutated_frames_never_panic(
@@ -224,6 +256,40 @@ proptest! {
         mutate(&mut bytes, k1, p1, v1);
         mutate(&mut bytes, k2, p2, v2);
         let _ = decode_counted(&bytes);
+    }
+}
+
+/// A failing encode returns its typed error and leaves the buffer as it
+/// was, so a batch of frames never carries a torn one; `write_frame`
+/// writes nothing for it.
+#[test]
+fn failed_encode_leaves_the_buffer_unchanged() {
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, &Frame::SlotComplete { slot: 3 }).unwrap();
+    let before = buf.clone();
+    let request =
+        SubmitRequest { id: 1, src_fiber: 0, src_wavelength: 0, dst_fiber: 0, duration: 1 };
+    let cases = [
+        (
+            Frame::HelloAck { version: PROTOCOL_VERSION, n: 8, k: 64, policy: "p".repeat(256) },
+            "HELLO_ACK",
+        ),
+        (Frame::Error { code: 3, message: "e".repeat(65_536) }, "ERROR"),
+        // 24 bytes per request: one request past the 1 MiB payload cap.
+        (Frame::Submit { requests: vec![request; MAX_FRAME_LEN as usize / 24 + 1] }, "SUBMIT"),
+    ];
+    for (frame, name) in &cases {
+        let err = encode_frame(&mut buf, frame).expect_err(name);
+        let typed = match &err {
+            ProtocolError::Malformed { frame } => frame == name,
+            ProtocolError::FrameTooLarge { len } => *name == "SUBMIT" && *len > MAX_FRAME_LEN,
+            _ => false,
+        };
+        assert!(typed, "{name}: unexpected encode error {err:?}");
+        assert_eq!(buf, before, "{name}: a failed encode changed the buffer");
+        let mut written = Vec::new();
+        assert!(write_frame(&mut written, frame).is_err());
+        assert!(written.is_empty(), "{name}: write_frame wrote part of a failed frame");
     }
 }
 

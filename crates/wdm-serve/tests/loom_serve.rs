@@ -14,7 +14,7 @@
 //! * **no-double-grant** — an id never receives two replies (the reply
 //!   set is checked for duplicates after the join);
 //! * **slot-sequence monotonicity** — the coordinator publishes slots
-//!   monotone-dense and the results thread confirms each `SlotDone`
+//!   monotone-dense and the results thread confirms each slot event
 //!   arrived *after* its publication ([`SlotSequence`] asserts both);
 //! * **results-written-before-join** — the reply log is read from the
 //!   results thread's join value, so any interleaving where results could
@@ -53,16 +53,26 @@ enum InEvent {
     Shutdown,
 }
 
-/// What the coordinator streams to the results thread.
+/// One answer to one id.
+#[derive(Debug, Clone, Copy)]
+struct Reply {
+    id: u64,
+    slot: u64,
+    granted: bool,
+}
+
+/// What the coordinator streams to the results thread, as in the daemon:
+/// an admission reply travels alone, a slot's replies travel together
+/// with its completion.
 #[derive(Debug)]
 enum OutEvent {
-    Reply { id: u64, slot: u64, granted: bool },
-    SlotDone { slot: u64 },
+    Reply(Reply),
+    Slot { slot: u64, replies: Vec<Reply> },
 }
 
 /// What the results thread hands back through its join: the replies in
-/// arrival order, and each reply's position relative to SlotDone events
-/// (reply_slot_done\[i\] = slots completed before reply i arrived).
+/// arrival order, the completed slots in arrival order, and how many
+/// replies arrived after their own slot had completed.
 #[derive(Debug, Default)]
 struct ResultsLog {
     replies: Vec<(u64, u64, bool)>,
@@ -70,46 +80,51 @@ struct ResultsLog {
     replies_after_own_slot_done: usize,
 }
 
-/// The coordinator's slot step: drain the shard queues into a batch and
-/// answer every drained request as granted, publish the slot, notify.
-/// Mirrors `SlotEngine::run_slot` + the `Server::run` slot section with
-/// the scheduling core stubbed to "grant everything drained".
+impl ResultsLog {
+    fn record(&mut self, r: Reply) {
+        if self.done_slots.iter().any(|d| *d >= r.slot) {
+            self.replies_after_own_slot_done += 1;
+        }
+        self.replies.push((r.id, r.slot, r.granted));
+    }
+}
+
+/// The coordinator's slot step: answer `leading` (replies the slot
+/// produces ahead of its cell batch, like activating reservations) and
+/// then every drained request as granted, publish the slot, and send the
+/// slot as one event. Mirrors `SlotEngine::run_slot` + the `Server::run`
+/// slot section with the scheduling core stubbed to "grant everything
+/// drained".
 fn run_slot(
     queues: &mut ShardQueues<Submit>,
     slot: u64,
     seq: &SlotSequence,
     out_tx: &serve_sync::Sender<OutEvent>,
+    leading: Vec<Reply>,
 ) {
-    let mut batch = Vec::new();
-    queues.drain_into(|s| batch.push(s));
-    for s in &batch {
-        out_tx
-            .send(OutEvent::Reply { id: s.id, slot, granted: true })
-            .expect("results thread lives until the sender side is dropped");
-    }
+    let mut replies = leading;
+    queues.drain_into(|s| replies.push(Reply { id: s.id, slot, granted: true }));
     seq.publish(slot);
     out_tx
-        .send(OutEvent::SlotDone { slot })
+        .send(OutEvent::Slot { slot, replies })
         .expect("results thread lives until the sender side is dropped");
 }
 
 /// The results thread: drains the out channel until disconnect, logging
-/// replies and confirming every SlotDone against the shared sequence.
+/// replies and confirming every slot event against the shared sequence.
 fn results_loop(out_rx: &serve_sync::Receiver<OutEvent>, seq: &SlotSequence) -> ResultsLog {
     let mut log = ResultsLog::default();
     while let Ok(ev) = out_rx.recv() {
         match ev {
-            OutEvent::Reply { id, slot, granted } => {
-                if log.done_slots.iter().any(|d| *d >= slot) {
-                    log.replies_after_own_slot_done += 1;
+            OutEvent::Reply(r) => log.record(r),
+            OutEvent::Slot { slot, replies } => {
+                for r in replies {
+                    log.record(r);
                 }
-                log.replies.push((id, slot, granted));
-            }
-            OutEvent::SlotDone { slot } => {
-                // Publish-before-notify in every interleaving.
+                // Publish-before-send in every interleaving.
                 seq.confirm(slot);
                 // Monotone-dense arrival order on the results side.
-                assert_eq!(slot, log.done_slots.len() as u64, "SlotDone out of order");
+                assert_eq!(slot, log.done_slots.len() as u64, "slot events out of order");
                 log.done_slots.push(slot);
             }
         }
@@ -119,14 +134,14 @@ fn results_loop(out_rx: &serve_sync::Receiver<OutEvent>, seq: &SlotSequence) -> 
 
 /// Checks a finished run: every id in `expected` answered exactly once
 /// (no-lost-batch + no-double-grant), replies never arrive after their own
-/// slot's completion broadcast, and `slots` SlotDone events arrived.
+/// slot's completion, and `slots` slot events arrived.
 fn check_log(log: &ResultsLog, expected: &[u64], slots: u64) {
     let mut answered: Vec<u64> = log.replies.iter().map(|(id, _, _)| *id).collect();
     answered.sort_unstable();
     let mut want = expected.to_vec();
     want.sort_unstable();
     assert_eq!(answered, want, "every request answered exactly once");
-    assert_eq!(log.replies_after_own_slot_done, 0, "reply arrived after its SlotDone");
+    assert_eq!(log.replies_after_own_slot_done, 0, "reply arrived after its slot completed");
     assert_eq!(log.done_slots.len() as u64, slots, "every slot completed exactly once");
 }
 
@@ -136,7 +151,7 @@ fn check_log(log: &ResultsLog, expected: &[u64], slots: u64) {
 /// every arrival and blocked-sender wakeup order. The results stream is
 /// validated by draining the out channel on the root thread after the
 /// join, which proves the same ordering facts (replies before their
-/// SlotDone, monotone-dense slots) for every reader/coordinator
+/// slot's completion, monotone-dense slots) for every reader/coordinator
 /// interleaving while keeping the tree small enough to exhaust. (Configs C
 /// and D explore a concurrently-draining results thread.)
 #[test]
@@ -166,7 +181,7 @@ fn two_readers_two_slots_sequence_monotone() {
             for s in batch {
                 queues.try_admit(s.shard, s).expect("queues sized for the load");
             }
-            run_slot(&mut queues, slot, &seq, &out_tx);
+            run_slot(&mut queues, slot, &seq, &out_tx, Vec::new());
         }
         for r in readers {
             r.join().expect("reader exits after its send");
@@ -278,7 +293,7 @@ fn shutdown_races_inflight_batch() {
         }
         assert!(saw_shutdown, "the SHUTDOWN event is never lost");
         stop.raise();
-        run_slot(&mut queues, 0, &seq, &out_tx);
+        run_slot(&mut queues, 0, &seq, &out_tx, Vec::new());
         submitter.join().expect("submitter exits");
         shutter.join().expect("shutter exits");
         assert!(stop.is_raised(), "acceptor gate raised before the join");
@@ -321,13 +336,13 @@ fn queue_full_deny_is_still_answered() {
                 Err(AdmitRejection::Full(rejected)) => {
                     // The admission deny is a reply too — never dropped.
                     out_tx
-                        .send(OutEvent::Reply { id: rejected.id, slot: 0, granted: false })
+                        .send(OutEvent::Reply(Reply { id: rejected.id, slot: 0, granted: false }))
                         .expect("results thread lives");
                 }
                 Err(AdmitRejection::InvalidShard(_)) => panic!("shard 0 exists"),
             }
         }
-        run_slot(&mut queues, 0, &seq, &out_tx);
+        run_slot(&mut queues, 0, &seq, &out_tx, Vec::new());
         reader.join().expect("reader exits");
         drop(out_tx);
         let log = results.join().expect("results thread never panics");
@@ -399,7 +414,7 @@ fn reserve_release_race_acked_exactly_once() {
                 InEvent::Reserve { id, start_slot } => {
                     pending.push((id, start_slot));
                     out_tx
-                        .send(OutEvent::Reply { id: 100 + id, slot: 0, granted: true })
+                        .send(OutEvent::Reply(Reply { id: 100 + id, slot: 0, granted: true }))
                         .expect("results drained after the coordinator");
                 }
                 InEvent::Release { id } => {
@@ -411,19 +426,17 @@ fn reserve_release_race_acked_exactly_once() {
             }
         }
         for slot in 0..2u64 {
-            // Activation precedes the slot's cell matching, like the due
+            // Activation replies lead the slot's stream, like the due
             // drain in `advance_slot_into`.
+            let mut activations = Vec::new();
             pending.retain(|&(rid, start)| {
-                if start == slot {
-                    out_tx
-                        .send(OutEvent::Reply { id: rid, slot, granted: true })
-                        .expect("results drained after the coordinator");
-                    false
-                } else {
-                    true
+                let due = start == slot;
+                if due {
+                    activations.push(Reply { id: rid, slot, granted: true });
                 }
+                !due
             });
-            run_slot(&mut queues, slot, &seq, &out_tx);
+            run_slot(&mut queues, slot, &seq, &out_tx, activations);
         }
         for r in [reserver, releaser, submitter] {
             r.join().expect("reader exits after its send");

@@ -95,6 +95,10 @@ fn scheduler() -> &'static Scheduler {
     SCHED.get_or_init(Scheduler::default)
 }
 
+/// Held by [`model`] for its whole run. The scheduler is one process-wide
+/// state, so `model` calls from parallel test threads must take turns.
+static MODEL_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 thread_local! {
     /// This OS thread's model slot, when it is a model thread.
     static SLOT: Cell<Option<usize>> = const { Cell::new(None) };
@@ -221,14 +225,23 @@ impl Scheduler {
 ///
 /// The closure is `Fn` (not `FnOnce`) because it runs many times; shared
 /// state must be created *inside* it so every iteration starts fresh.
+///
+/// Calls from different threads (parallel tests) run one after another;
+/// a call from inside a model thread panics.
 pub fn model<F>(f: F) -> u64
 where
     F: Fn() + Send + Sync + 'static,
 {
+    // Checked before taking the turn: a model thread would otherwise wait
+    // forever on the turn its own run holds.
+    assert!(SLOT.with(Cell::get).is_none(), "loom::model cannot be nested");
+    // A poisoned turn only means an earlier model failed; the state it
+    // leaves behind is reset below.
+    let _turn = MODEL_TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let sched = scheduler();
     {
         let mut st = sched.lock_state();
-        assert!(SLOT.with(Cell::get).is_none() && !st.active, "loom::model cannot be nested");
+        assert!(!st.active, "loom::model cannot be nested");
         st.schedule.clear();
         st.iterations = 0;
     }
@@ -744,6 +757,40 @@ mod tests {
             h2.join().unwrap();
         });
         assert!(count >= 2, "two racing stores need at least two interleavings, got {count}");
+    }
+
+    #[test]
+    fn parallel_model_calls_take_turns() {
+        // Test threads call `model` concurrently; each call must still
+        // explore its own whole tree.
+        let racing_stores = || {
+            model(|| {
+                let a = Arc::new(AtomicUsize::new(0));
+                let h = {
+                    let a = Arc::clone(&a);
+                    spawn(move || a.store(1, Ordering::SeqCst))
+                };
+                a.store(2, Ordering::SeqCst);
+                h.join().unwrap();
+            })
+        };
+        let alone = racing_stores();
+        let callers: Vec<_> = (0..4).map(|_| std::thread::spawn(racing_stores)).collect();
+        for caller in callers {
+            assert_eq!(caller.join().unwrap(), alone, "a parallel call saw a different tree");
+        }
+    }
+
+    #[test]
+    fn nested_model_call_panics() {
+        let result = std::panic::catch_unwind(|| {
+            model(|| {
+                model(|| {});
+            })
+        });
+        let payload = result.expect_err("a model inside a model must panic");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("cannot be nested"), "unexpected panic: {message:?}");
     }
 
     #[test]
