@@ -14,13 +14,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wdm_bench::{bench_rng, random_request_vector};
 use wdm_core::algorithms::{
-    approx_schedule, break_fa_matching, break_fa_schedule, break_fa_schedule_with, BreakChoice,
+    approx_schedule, break_fa_matching, BreakChoice, BreakFirstAvailable, Matcher,
 };
 use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector};
 use wdm_hardware::BreakFaUnit;
 
 const K: usize = 64;
 const N: usize = 16;
+const BFA: BreakFirstAvailable = BreakFirstAvailable(BreakChoice::FirstRequest);
 
 fn inputs() -> Vec<RequestVector> {
     let mut rng = bench_rng(0xAB1A);
@@ -40,7 +41,9 @@ fn bench_break_choice(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &ws[i % ws.len()];
                 i += 1;
-                black_box(break_fa_schedule_with(&conv, rv, &mask, choice).expect("schedules"))
+                black_box(
+                    BreakFirstAvailable(choice).schedule(&conv, rv, &mask).expect("schedules"),
+                )
             });
         });
     }
@@ -59,7 +62,7 @@ fn bench_representation(c: &mut Criterion) {
         b.iter(|| {
             let rv = &workloads[i % workloads.len()];
             i += 1;
-            black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
         });
     });
     group.bench_function("explicit_graph", |b| {
@@ -93,7 +96,7 @@ fn bench_hardware_vs_software(c: &mut Criterion) {
         b.iter(|| {
             let rv = &workloads[i % workloads.len()];
             i += 1;
-            black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
         });
     });
     group.bench_function("hardware_model_bfa", |b| {
@@ -118,7 +121,7 @@ fn bench_exact_vs_approx(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &ws[i % ws.len()];
                 i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+                black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
             });
         });
         group.bench_with_input(BenchmarkId::new("approx_d", d), &workloads, |b, ws| {

@@ -17,10 +17,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wdm_bench::{bench_rng, random_request_vector};
-use wdm_core::algorithms::{approx_schedule, break_fa_schedule, fa_schedule, hopcroft_karp};
+use wdm_core::algorithms::{
+    approx_schedule, hopcroft_karp, BreakChoice, BreakFirstAvailable, FirstAvailable, Matcher,
+};
 use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector};
 
 const LOAD: f64 = 0.8;
+const BFA: BreakFirstAvailable = BreakFirstAvailable(BreakChoice::FirstRequest);
 const N_FIBERS: usize = 16;
 
 fn workloads(k: usize, n: usize, count: usize) -> Vec<RequestVector> {
@@ -40,7 +43,7 @@ fn bench_fa(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &inputs[i % inputs.len()];
                 i += 1;
-                black_box(fa_schedule(&conv, rv, &mask).expect("schedules"))
+                black_box(FirstAvailable.schedule(&conv, rv, &mask).expect("schedules"))
             });
         });
     }
@@ -59,7 +62,7 @@ fn bench_bfa(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &inputs[i % inputs.len()];
                 i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+                black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
             });
         });
     }
@@ -77,7 +80,7 @@ fn bench_bfa(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &inputs[i % inputs.len()];
                 i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+                black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
             });
         });
     }
@@ -155,7 +158,7 @@ fn bench_hopcroft_karp(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("bfa_N", n), &rv, |b, rv| {
-            b.iter(|| black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules")));
+            b.iter(|| black_box(BFA.schedule(&conv, rv, &mask).expect("schedules")));
         });
     }
     group.finish();
@@ -177,7 +180,7 @@ fn bench_independence_of_n(c: &mut Criterion) {
             b.iter(|| {
                 let rv = &inputs[i % inputs.len()];
                 i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+                black_box(BFA.schedule(&conv, rv, &mask).expect("schedules"))
             });
         });
     }
@@ -190,7 +193,7 @@ fn bench_independence_of_n(c: &mut Criterion) {
     for n in [4usize, 16, 64, 256] {
         let rv = RequestVector::from_counts(vec![n; k]).expect("valid");
         group.bench_with_input(BenchmarkId::new("N", n), &rv, |b, rv| {
-            b.iter(|| black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules")));
+            b.iter(|| black_box(BFA.schedule(&conv, rv, &mask).expect("schedules")));
         });
     }
     group.finish();

@@ -19,8 +19,8 @@ use crate::occupancy::ChannelMask;
 use crate::request::RequestVector;
 
 use super::break_fa::single_break_into;
-use super::full_range::full_range_schedule_into;
-use super::Assignment;
+use super::full_range::FullRange;
+use super::{Assignment, Matcher};
 
 /// Result of the approximation scheduler.
 #[must_use]
@@ -93,7 +93,7 @@ pub fn approx_schedule_into(
     conv.check_k(requests.k())?;
     conv.check_k(mask.k())?;
     if conv.is_full() {
-        full_range_schedule_into(conv, requests, mask, out)?;
+        FullRange.schedule_into(conv, requests, mask, scratch, out)?;
         return Ok(ApproxStats { delta: 0, bound: 0 });
     }
     if conv.kind() != ConversionKind::Circular {
@@ -137,43 +137,31 @@ pub fn approx_schedule_into(
     Ok(ApproxStats { delta, bound })
 }
 
-/// [`approx_schedule`] with its certificate: the returned schedule is
-/// verified feasible and within the reported [`ApproxOutcome::bound`] of the
-/// maximum matching (Theorem 3 / Corollary 1), by comparison against a
-/// Hopcroft–Karp run.
-///
-/// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
-pub fn approx_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<ApproxOutcome, Error> {
-    let out = approx_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments_within(conv, requests, mask, &out.assignments, out.bound)?;
-    Ok(out)
-}
+/// The single-break approximation as a [`Matcher`]: the schedule of
+/// [`approx_schedule_into`], reporting Theorem 3's bound as the distance to
+/// a maximum matching (`Some(0)` under full-range conversion, where it is
+/// exact). Use [`approx_schedule_into`] directly when `δ(u)` is needed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Approximate;
 
-/// [`approx_schedule_into`] with the Theorem 3 / Corollary 1 certificate.
-/// The certificate itself allocates (it runs the Hopcroft–Karp oracle); use
-/// the unchecked variant on the zero-allocation hot path.
-///
-/// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
-pub fn approx_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<ApproxStats, Error> {
-    let stats = approx_schedule_into(conv, requests, mask, scratch, out)?;
-    crate::verify::certify_assignments_within(conv, requests, mask, out, stats.bound)?;
-    Ok(stats)
+impl Matcher for Approximate {
+    /// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        approx_schedule_into(conv, requests, mask, scratch, out).map(|stats| Some(stats.bound))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{break_fa_schedule, kuhn, validate_assignments};
+    use crate::algorithms::{kuhn, validate_assignments, BreakFirstAvailable};
     use crate::graph::RequestGraph;
 
     #[test]
@@ -235,7 +223,7 @@ mod tests {
             let counts: Vec<usize> =
                 (0..8).map(|w| if pattern & (1 << w) != 0 { 2 } else { 0 }).collect();
             let rv = RequestVector::from_counts(counts).unwrap();
-            let exact = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
+            let exact = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap().len();
             let out = approx_schedule(&conv, &rv, &mask).unwrap();
             assert!(out.assignments.len() + out.bound >= exact, "pattern {pattern:#010b}");
             assert!(out.assignments.len() <= exact);

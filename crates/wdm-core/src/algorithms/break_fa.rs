@@ -14,7 +14,7 @@
 //!
 //! Total: `O(dk)`, independent of the interconnect size `N`.
 //!
-//! Two implementations are provided: [`break_fa_schedule`] is the compact
+//! Two implementations are provided: [`BreakFirstAvailable`] is the compact
 //! production scheduler that never materializes a graph, and
 //! [`break_fa_matching`] is the explicit reference version built from
 //! [`crate::breaking::break_graph`]. The test suite checks both against the
@@ -30,8 +30,8 @@ use crate::occupancy::ChannelMask;
 use crate::request::RequestVector;
 
 use super::first_available::{first_available, ConvexInstance};
-use super::full_range::full_range_schedule_into;
-use super::Assignment;
+use super::full_range::FullRange;
+use super::{Assignment, Matcher};
 
 /// How the breaking vertex `a_i` is chosen. Any choice yields a maximum
 /// matching (Lemma 4 holds for every vertex); the choice is exposed for the
@@ -47,137 +47,97 @@ pub enum BreakChoice {
 }
 
 /// The compact `O(dk)` Break and First Available scheduler for circular
-/// conversion.
+/// conversion, breaking at the vertex its [`BreakChoice`] picks.
 ///
-/// Full-range conversion is dispatched to the trivial scheduler;
-/// non-circular conversion is rejected (use
-/// [`super::first_available::fa_schedule`]).
+/// The `d` candidate schedules are evaluated in the scratch arena without
+/// materializing a graph, and the winner (breaking edge included) is a
+/// maximum matching (Theorem 2). Full-range conversion is dispatched to the
+/// trivial [`FullRange`] scheduler; non-circular conversion is rejected (use
+/// [`super::FirstAvailable`]).
 ///
 /// ```
 /// use wdm_core::{ChannelMask, Conversion, RequestVector};
-/// use wdm_core::algorithms::break_fa_schedule;
+/// use wdm_core::algorithms::{BreakFirstAvailable, Matcher};
 ///
 /// let conv = Conversion::symmetric_circular(6, 3)?;
 /// let requests = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2])?;
-/// let grants = break_fa_schedule(&conv, &requests, &ChannelMask::all_free(6))?;
+/// let bfa = BreakFirstAvailable::default();
+/// let grants = bfa.schedule(&conv, &requests, &ChannelMask::all_free(6))?;
 /// assert_eq!(grants.len(), 6); // the maximum matching of paper Fig. 4(a)
 /// # Ok::<(), wdm_core::Error>(())
 /// ```
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    break_fa_schedule_with(conv, requests, mask, BreakChoice::default())
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BreakFirstAvailable(pub BreakChoice);
 
-/// [`break_fa_schedule`] with an explicit breaking-vertex policy.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-) -> Result<Vec<Assignment>, Error> {
-    let mut scratch = ScratchArena::new();
-    let mut out = Vec::new();
-    break_fa_schedule_with_into(conv, requests, mask, choice, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// [`break_fa_schedule`] writing into caller-provided buffers, with the
-/// default breaking-vertex policy. See [`break_fa_schedule_with_into`].
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_into(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into(conv, requests, mask, BreakChoice::default(), scratch, out)
-}
-
-/// [`break_fa_schedule_with`] writing into caller-provided buffers.
-///
-/// `out` is cleared and receives the winning schedule (breaking edge
-/// included); the `d` candidate schedules are evaluated in `scratch` without
-/// materializing a graph. Once the buffers have reached steady-state
-/// capacity for the fiber's `k` the call performs zero heap allocations —
-/// this is the per-slot production path used by
-/// [`crate::FiberScheduler::schedule_slot`].
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_into(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    out.clear();
-    conv.check_k(requests.k())?;
-    conv.check_k(mask.k())?;
-    if conv.is_full() {
-        return full_range_schedule_into(conv, requests, mask, out);
-    }
-    if conv.kind() != ConversionKind::Circular {
-        return Err(Error::UnsupportedConversion {
-            algorithm: "Break and First Available",
-            requires: "circular conversion (use First Available for non-circular)",
-        });
-    }
-    let k = conv.k();
-
-    let Some(w_i) = choose_breaking_wavelength(conv, requests, mask, choice) else {
-        return Ok(());
-    };
-
-    // The `d` break candidates share one set of per-slot tables: the
-    // ascending free-channel list, its prefix counts, and the rotated
-    // nonzero-request list. Each candidate re-derives its own rotation from
-    // them by offset arithmetic instead of rebuilding O(k) state.
-    build_break_tables(requests, mask, w_i, scratch);
-    let ScratchArena { items, outputs, prefix, rot_requests, candidate, .. } = scratch;
-    let tables = SlotTables {
-        w_i,
-        outputs: outputs.as_slice(),
-        prefix: prefix.as_slice(),
-        rot_requests: rot_requests.as_slice(),
-    };
-
-    // No candidate can exceed the breaking edge plus one grant per rotated
-    // free channel or per pending request, whichever runs out first.
-    let total_requests: usize = tables.rot_requests.iter().map(|&(_, c)| c).sum();
-    let best_possible = total_requests.min(tables.outputs.len() - 1) + 1;
-
-    // `out` holds the best schedule so far; `candidate` is the workspace of
-    // the break currently being evaluated. Swapping the two vecs promotes a
-    // better candidate without copying or allocating.
-    let mut found = false;
-    for u in conv.adjacency(w_i).iter(k) {
-        if !mask.is_free(u) {
-            continue;
+impl Matcher for BreakFirstAvailable {
+    /// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        out.clear();
+        conv.check_k(requests.k())?;
+        conv.check_k(mask.k())?;
+        if conv.is_full() {
+            return FullRange.schedule_into(conv, requests, mask, scratch, out);
         }
-        if found && out.len() >= best_possible {
-            // Promotion needs a strictly larger schedule; none exists.
-            break;
+        if conv.kind() != ConversionKind::Circular {
+            return Err(Error::UnsupportedConversion {
+                algorithm: "Break and First Available",
+                requires: "circular conversion (use First Available for non-circular)",
+            });
         }
-        let beat = if found { Some(out.len()) } else { None };
-        if single_break_shared(conv, &tables, items, u, beat, candidate) {
-            candidate.push(Assignment { input: w_i, output: u });
-            if !found || candidate.len() > out.len() {
-                std::mem::swap(out, candidate);
-                found = true;
+        let k = conv.k();
+
+        let Some(w_i) = choose_breaking_wavelength(conv, requests, mask, self.0) else {
+            return Ok(None);
+        };
+
+        // The `d` break candidates share one set of per-slot tables: the
+        // ascending free-channel list, its prefix counts, and the rotated
+        // nonzero-request list. Each candidate re-derives its own rotation from
+        // them by offset arithmetic instead of rebuilding O(k) state.
+        build_break_tables(requests, mask, w_i, scratch);
+        let ScratchArena { items, outputs, prefix, rot_requests, candidate, .. } = scratch;
+        let tables = SlotTables {
+            w_i,
+            outputs: outputs.as_slice(),
+            prefix: prefix.as_slice(),
+            rot_requests: rot_requests.as_slice(),
+        };
+
+        // No candidate can exceed the breaking edge plus one grant per rotated
+        // free channel or per pending request, whichever runs out first.
+        let total_requests: usize = tables.rot_requests.iter().map(|&(_, c)| c).sum();
+        let best_possible = total_requests.min(tables.outputs.len() - 1) + 1;
+
+        // `out` holds the best schedule so far; `candidate` is the workspace of
+        // the break currently being evaluated. Swapping the two vecs promotes a
+        // better candidate without copying or allocating.
+        let mut found = false;
+        for u in conv.adjacency(w_i).iter(k) {
+            if !mask.is_free(u) {
+                continue;
+            }
+            if found && out.len() >= best_possible {
+                // Promotion needs a strictly larger schedule; none exists.
+                break;
+            }
+            let beat = if found { Some(out.len()) } else { None };
+            if single_break_shared(conv, &tables, items, u, beat, candidate) {
+                candidate.push(Assignment { input: w_i, output: u });
+                if !found || candidate.len() > out.len() {
+                    std::mem::swap(out, candidate);
+                    found = true;
+                }
             }
         }
+        Ok(None)
     }
-    Ok(())
 }
 
 /// Picks the breaking wavelength: a wavelength with pending requests and at
@@ -491,77 +451,6 @@ pub fn break_fa_matching(graph: &RequestGraph) -> Matching {
     best
 }
 
-/// [`break_fa_schedule`] with its certificate: the returned schedule is
-/// verified feasible and a maximum matching of the slot's request graph
-/// (Theorem 2).
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    break_fa_schedule_with_checked(conv, requests, mask, BreakChoice::default())
-}
-
-/// [`break_fa_schedule_with`] with the Theorem 2 certificate.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = break_fa_schedule_with(conv, requests, mask, choice)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
-}
-
-/// [`break_fa_schedule_into`] with the Theorem 2 certificate. The
-/// certificate itself allocates; use the unchecked variant on the
-/// zero-allocation hot path.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into_checked(conv, requests, mask, BreakChoice::default(), scratch, out)
-}
-
-/// [`break_fa_schedule_with_into`] with the Theorem 2 certificate.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into(conv, requests, mask, choice, scratch, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
-}
-
-/// [`break_fa_matching`] with its certificate: the returned matching is
-/// verified valid, maximum (Theorem 2), and — the extra structure breaking
-/// buys — crossing-free (Lemma 1).
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_matching_checked(graph: &RequestGraph) -> Result<Matching, Error> {
-    let m = break_fa_matching(graph);
-    let cert = crate::verify::MatchingCertificate::new(graph, &m);
-    cert.check()?;
-    cert.check_crossing_free()?;
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,6 +458,8 @@ mod tests {
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
     use crate::algorithms::{hopcroft_karp, kuhn, validate_assignments};
+
+    const BFA: BreakFirstAvailable = BreakFirstAvailable(BreakChoice::FirstRequest);
 
     fn paper_conv() -> Conversion {
         Conversion::symmetric_circular(6, 3).unwrap()
@@ -585,7 +476,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 6);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -606,7 +497,7 @@ mod tests {
         let conv = paper_conv();
         let rv = RequestVector::from_counts(vec![0, 2, 3, 0, 1, 0]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 5);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -630,7 +521,7 @@ mod tests {
             let conv = Conversion::circular(k, e, f).unwrap();
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::all_free(k);
-            let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let a = BFA.schedule(&conv, &rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &a).unwrap();
             let g = RequestGraph::new(conv, &rv).unwrap();
             let oracle = hopcroft_karp(&g).size();
@@ -655,7 +546,7 @@ mod tests {
             let conv = Conversion::circular(k, e, f).unwrap();
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
-            let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let a = BFA.schedule(&conv, &rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &a).unwrap();
             let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
             let oracle = kuhn(&g).size();
@@ -672,7 +563,7 @@ mod tests {
         let conv = Conversion::full(6).unwrap();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 6);
     }
 
@@ -680,7 +571,7 @@ mod tests {
     fn non_circular_rejected() {
         let conv = Conversion::non_circular(6, 1, 1).unwrap();
         assert!(matches!(
-            break_fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
+            BFA.schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
             Err(Error::UnsupportedConversion { .. })
         ));
     }
@@ -688,15 +579,14 @@ mod tests {
     #[test]
     fn empty_requests() {
         let conv = paper_conv();
-        let a =
-            break_fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
+        let a = BFA.schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
         assert!(a.is_empty());
     }
 
     #[test]
     fn fully_occupied_fiber() {
         let conv = paper_conv();
-        let a = break_fa_schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
+        let a = BFA.schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
         assert!(a.is_empty());
     }
 
@@ -708,7 +598,7 @@ mod tests {
         let conv = paper_conv();
         let rv = RequestVector::from_counts(vec![2, 0, 0, 1, 0, 0]).unwrap();
         let mask = ChannelMask::with_occupied(6, &[5, 0, 1]).unwrap();
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].input, 3);
@@ -719,9 +609,11 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let first = break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::FirstRequest).unwrap();
-        let densest =
-            break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
+        let first =
+            BreakFirstAvailable(BreakChoice::FirstRequest).schedule(&conv, &rv, &mask).unwrap();
+        let densest = BreakFirstAvailable(BreakChoice::DensestWavelength)
+            .schedule(&conv, &rv, &mask)
+            .unwrap();
         assert_eq!(first.len(), densest.len());
         validate_assignments(&conv, &rv, &mask, &densest).unwrap();
     }
@@ -732,7 +624,7 @@ mod tests {
         let conv = Conversion::circular(6, 0, 1).unwrap();
         let rv = RequestVector::from_counts(vec![2, 0, 2, 0, 2, 0]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
         let g = RequestGraph::new(conv, &rv).unwrap();
         assert_eq!(a.len(), kuhn(&g).size());
@@ -744,7 +636,7 @@ mod tests {
         let conv = Conversion::full(1).unwrap();
         let rv = RequestVector::from_counts(vec![3]).unwrap();
         let mask = ChannelMask::all_free(1);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = BFA.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 1);
     }
 
@@ -849,9 +741,7 @@ mod tests {
             if conv.is_full() {
                 // Same dispatch the scheduler has always had: a full-range
                 // ring needs no breaking.
-                let mut out = Vec::new();
-                full_range_schedule_into(conv, requests, mask, &mut out)?;
-                return Ok(out);
+                return FullRange.schedule(conv, requests, mask);
             }
             assert_eq!(conv.kind(), ConversionKind::Circular, "reference covers circular only");
             let k = conv.k();
@@ -905,7 +795,7 @@ mod tests {
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
             for choice in [BreakChoice::FirstRequest, BreakChoice::DensestWavelength] {
-                let fast = break_fa_schedule_with(&conv, &rv, &mask, choice).unwrap();
+                let fast = BreakFirstAvailable(choice).schedule(&conv, &rv, &mask).unwrap();
                 let slow = reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
                 assert_eq!(
                     fast, slow,
@@ -944,7 +834,7 @@ mod tests {
                 let rv = RequestVector::from_counts(counts).unwrap();
                 let mask = ChannelMask::from_flags(free).unwrap();
                 for choice in [BreakChoice::FirstRequest, BreakChoice::DensestWavelength] {
-                    let fast = break_fa_schedule_with(&conv, &rv, &mask, choice).unwrap();
+                    let fast = BreakFirstAvailable(choice).schedule(&conv, &rv, &mask).unwrap();
                     let slow =
                         reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
                     prop_assert_eq!(&fast, &slow, "choice {:?}", choice);

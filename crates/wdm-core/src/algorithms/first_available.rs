@@ -20,7 +20,7 @@ use crate::matching::Matching;
 use crate::occupancy::ChannelMask;
 use crate::request::RequestVector;
 
-use super::Assignment;
+use super::{Assignment, Matcher};
 
 /// A convex bipartite instance: each left vertex's adjacency is an inclusive
 /// interval of right positions (`None` = isolated), and the intervals'
@@ -143,64 +143,6 @@ pub fn first_available_matching(graph: &RequestGraph) -> Matching {
     }
 }
 
-/// [`first_available`] with its certificate: checks the convexity and
-/// monotone-endpoint preconditions of Theorem 1 up front and certifies the
-/// output as a maximum matching of the interval instance before returning
-/// it.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_checked(inst: &ConvexInstance) -> Result<Vec<Option<usize>>, Error> {
-    crate::verify::check_convex(inst)?;
-    crate::verify::check_monotone_endpoints(inst)?;
-    let match_of_right = first_available(inst);
-    crate::verify::check_interval_matching(inst, &match_of_right)?;
-    Ok(match_of_right)
-}
-
-/// [`first_available_into`] with the [`first_available_checked`]
-/// certificate. The certificate itself allocates; use the unchecked variant
-/// on the zero-allocation hot path.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_into_checked(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) -> Result<(), Error> {
-    crate::verify::check_convex(inst)?;
-    crate::verify::check_monotone_endpoints(inst)?;
-    first_available_into(inst, scratch, out);
-    crate::verify::check_interval_matching(inst, out)?;
-    Ok(())
-}
-
-/// [`first_available_matching`] with its certificate: the returned matching
-/// is verified valid and maximum (Theorem 1) against the explicit graph.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_matching_checked(graph: &RequestGraph) -> Result<Matching, Error> {
-    for j in 0..graph.left_count() {
-        graph.position_interval_checked(j)?;
-    }
-    let m = first_available_matching(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
-/// [`fa_schedule`] with its certificate: the returned schedule is verified
-/// feasible and a maximum matching of the slot's request graph (Theorem 1).
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = fa_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
-}
-
 /// The `O(k)` compact First Available scheduler (paper Table 2) for
 /// non-circular conversion.
 ///
@@ -208,131 +150,97 @@ pub fn fa_schedule_checked(
 /// interchangeable, so the scheduler tracks a remaining-count per wavelength
 /// instead of individual left vertices. Occupied channels (`mask`) are
 /// handled per §V by mapping wavelength intervals to free-channel positions
-/// with prefix counts.
-///
-/// Returns the granted assignments in output-wavelength order.
+/// with prefix counts. Grants come out in output-wavelength order, and the
+/// schedule is a maximum matching (Theorem 1).
 ///
 /// ```
 /// use wdm_core::{ChannelMask, Conversion, RequestVector};
-/// use wdm_core::algorithms::fa_schedule;
+/// use wdm_core::algorithms::{FirstAvailable, Matcher};
 ///
 /// let conv = Conversion::non_circular(6, 1, 1)?;
 /// let requests = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2])?;
-/// let grants = fa_schedule(&conv, &requests, &ChannelMask::all_free(6))?;
+/// let grants = FirstAvailable.schedule(&conv, &requests, &ChannelMask::all_free(6))?;
 /// assert_eq!(grants.len(), 6); // the maximum matching of paper Fig. 4(b)
 /// # Ok::<(), wdm_core::Error>(())
 /// ```
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let mut scratch = ScratchArena::new();
-    let mut out = Vec::new();
-    fa_schedule_into(conv, requests, mask, &mut scratch, &mut out)?;
-    Ok(out)
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FirstAvailable;
 
-/// [`fa_schedule`] writing into caller-provided buffers.
-///
-/// `out` is cleared and receives the granted assignments in
-/// output-wavelength order; every intermediate lives in `scratch`. Once both
-/// have reached steady-state capacity for the fiber's `k` (one warmup slot,
-/// or [`ScratchArena::for_k`]) the call performs zero heap allocations —
-/// this is the per-slot production path used by
-/// [`crate::FiberScheduler::schedule_slot`].
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule_into(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    out.clear();
-    conv.check_k(requests.k())?;
-    conv.check_k(mask.k())?;
-    if conv.kind() != ConversionKind::NonCircular {
-        return Err(Error::UnsupportedConversion {
-            algorithm: "First Available",
-            requires: "non-circular conversion (use Break and First Available for circular)",
-        });
-    }
-    let k = conv.k();
-    mask.free_channels_into(&mut scratch.outputs);
-    mask.free_prefix_counts_into(&mut scratch.prefix);
-    let outputs = &scratch.outputs;
-    let prefix = &scratch.prefix;
-
-    let items = &mut scratch.items;
-    items.clear();
-    for (w, count) in requests.iter_nonzero() {
-        let span = conv.adjacency(w);
-        debug_assert!(!span.wraps(k), "non-circular spans never wrap");
-        let lo = span.start();
-        let hi = span.last(k);
-        let begin = prefix[lo];
-        let end_excl = prefix[hi + 1];
-        if end_excl > begin {
-            let width = end_excl - begin;
-            items.push(ScratchItem {
-                wavelength: w,
-                remaining: count.min(width),
-                begin,
-                end: end_excl - 1,
+impl Matcher for FirstAvailable {
+    /// Paper: Theorem 1 (First Available, Table 2).
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        out.clear();
+        conv.check_k(requests.k())?;
+        conv.check_k(mask.k())?;
+        if conv.kind() != ConversionKind::NonCircular {
+            return Err(Error::UnsupportedConversion {
+                algorithm: "First Available",
+                requires: "non-circular conversion (use Break and First Available for circular)",
             });
         }
-    }
+        let k = conv.k();
+        mask.free_channels_into(&mut scratch.outputs);
+        mask.free_prefix_counts_into(&mut scratch.prefix);
+        let outputs = &scratch.outputs;
+        let prefix = &scratch.prefix;
 
-    let active = &mut scratch.active;
-    active.clear();
-    let mut next = 0usize;
-    for (p, &out_w) in outputs.iter().enumerate() {
-        // All request intervals consumed or expired: no later free channel
-        // can be granted, so the scan is done.
-        if next >= items.len() && active.is_empty() {
-            break;
+        let items = &mut scratch.items;
+        items.clear();
+        for (w, count) in requests.iter_nonzero() {
+            let span = conv.adjacency(w);
+            debug_assert!(!span.wraps(k), "non-circular spans never wrap");
+            let lo = span.start();
+            let hi = span.last(k);
+            let begin = prefix[lo];
+            let end_excl = prefix[hi + 1];
+            if end_excl > begin {
+                let width = end_excl - begin;
+                items.push(ScratchItem {
+                    wavelength: w,
+                    remaining: count.min(width),
+                    begin,
+                    end: end_excl - 1,
+                });
+            }
         }
-        while next < items.len() && items[next].begin <= p {
-            active.push_back(next);
-            next += 1;
-        }
-        while let Some(&i) = active.front() {
-            if items[i].end < p || items[i].remaining == 0 {
-                active.pop_front();
-            } else {
+
+        let active = &mut scratch.active;
+        active.clear();
+        let mut next = 0usize;
+        for (p, &out_w) in outputs.iter().enumerate() {
+            // All request intervals consumed or expired: no later free channel
+            // can be granted, so the scan is done.
+            if next >= items.len() && active.is_empty() {
                 break;
             }
-        }
-        if let Some(&i) = active.front() {
-            out.push(Assignment { input: items[i].wavelength, output: out_w });
-            items[i].remaining -= 1;
-            if items[i].remaining == 0 {
-                active.pop_front();
+            while next < items.len() && items[next].begin <= p {
+                active.push_back(next);
+                next += 1;
+            }
+            while let Some(&i) = active.front() {
+                if items[i].end < p || items[i].remaining == 0 {
+                    active.pop_front();
+                } else {
+                    break;
+                }
+            }
+            if let Some(&i) = active.front() {
+                out.push(Assignment { input: items[i].wavelength, output: out_w });
+                items[i].remaining -= 1;
+                if items[i].remaining == 0 {
+                    active.pop_front();
+                }
             }
         }
+        Ok(None)
     }
-    Ok(())
-}
-
-/// [`fa_schedule_into`] with the Theorem 1 certificate. The certificate
-/// itself allocates (it rebuilds the request graph and runs the oracle); use
-/// the unchecked variant on the zero-allocation hot path.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    fa_schedule_into(conv, requests, mask, scratch, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -369,7 +277,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
         assert_eq!(assignments.len(), 6);
         let g = RequestGraph::new(conv, &rv).unwrap();
@@ -381,14 +289,21 @@ mod tests {
         let conv = Conversion::symmetric_circular(6, 3).unwrap();
         let rv = RequestVector::new(6);
         let mask = ChannelMask::all_free(6);
-        assert!(matches!(fa_schedule(&conv, &rv, &mask), Err(Error::UnsupportedConversion { .. })));
+        assert!(matches!(
+            FirstAvailable.schedule(&conv, &rv, &mask),
+            Err(Error::UnsupportedConversion { .. })
+        ));
     }
 
     #[test]
     fn rejects_mismatched_dimensions() {
         let conv = paper_conv();
-        assert!(fa_schedule(&conv, &RequestVector::new(5), &ChannelMask::all_free(6)).is_err());
-        assert!(fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(5)).is_err());
+        assert!(FirstAvailable
+            .schedule(&conv, &RequestVector::new(5), &ChannelMask::all_free(6))
+            .is_err());
+        assert!(FirstAvailable
+            .schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(5))
+            .is_err());
     }
 
     #[test]
@@ -396,7 +311,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::with_occupied(6, &[0, 1]).unwrap();
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
         // λ0 requests can only use b0/b1, both occupied; λ1 can use b2.
         // Free channels: 2, 3, 4, 5 → matchable: a2(λ1)→b2, a3(λ3)→b3,
@@ -408,16 +323,18 @@ mod tests {
     #[test]
     fn no_requests_no_grants() {
         let conv = paper_conv();
-        let assignments =
-            fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
+        let assignments = FirstAvailable
+            .schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6))
+            .unwrap();
         assert!(assignments.is_empty());
     }
 
     #[test]
     fn all_occupied_no_grants() {
         let conv = paper_conv();
-        let assignments =
-            fa_schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
+        let assignments = FirstAvailable
+            .schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6))
+            .unwrap();
         assert!(assignments.is_empty());
     }
 
@@ -427,7 +344,7 @@ mod tests {
         let conv = Conversion::non_circular(8, 1, 1).unwrap();
         let rv = RequestVector::from_counts(vec![4; 8]).unwrap();
         let mask = ChannelMask::all_free(8);
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(assignments.len(), 8);
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
     }

@@ -6,91 +6,53 @@
 //! grant exactly as many as there are free channels (the paper: "arbitrarily
 //! pick k out of them").
 
+use crate::arena::ScratchArena;
 use crate::conversion::Conversion;
 use crate::error::Error;
 use crate::occupancy::ChannelMask;
 use crate::request::RequestVector;
 
-use super::Assignment;
+use super::{Assignment, Matcher};
 
-/// Schedules under full-range conversion in `O(k)`.
+/// The `O(k)` scheduler for full-range conversion.
 ///
 /// Grants requests in ascending wavelength order (the "arbitrary pick") and
-/// assigns free channels in ascending order. Returns an error if `conv` is
-/// not full-range.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let mut out = Vec::new();
-    full_range_schedule_into(conv, requests, mask, &mut out)?;
-    Ok(out)
-}
+/// assigns free channels in ascending order: `min(requests, free channels)`
+/// grants, a maximum matching. Needs no scratch — the trivial scheduler has
+/// no intermediate state. Returns an error if `conv` is not full-range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FullRange;
 
-/// [`full_range_schedule`] writing into a caller-provided buffer. `out` is
-/// cleared first; the call is allocation-free once `out` has capacity for
-/// `min(requests, free channels)` grants. Needs no scratch — the trivial
-/// scheduler has no intermediate state.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule_into(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    out.clear();
-    conv.check_k(requests.k())?;
-    conv.check_k(mask.k())?;
-    if !conv.is_full() {
-        return Err(Error::UnsupportedConversion {
-            algorithm: "full-range scheduler",
-            requires: "full-range conversion (degree d = k, circular)",
-        });
-    }
-    let mut free = mask.iter_free();
-    'outer: for (w, count) in requests.iter_nonzero() {
-        for _ in 0..count {
-            match free.next() {
-                Some(ch) => out.push(Assignment { input: w, output: ch }),
-                None => break 'outer,
+impl Matcher for FullRange {
+    /// Paper: §I (full-range conversion: grant min(requests, free channels)).
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        _scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        out.clear();
+        conv.check_k(requests.k())?;
+        conv.check_k(mask.k())?;
+        if !conv.is_full() {
+            return Err(Error::UnsupportedConversion {
+                algorithm: "full-range scheduler",
+                requires: "full-range conversion (degree d = k, circular)",
+            });
+        }
+        let mut free = mask.iter_free();
+        'outer: for (w, count) in requests.iter_nonzero() {
+            for _ in 0..count {
+                match free.next() {
+                    Some(ch) => out.push(Assignment { input: w, output: ch }),
+                    None => break 'outer,
+                }
             }
         }
+        Ok(None)
     }
-    Ok(())
-}
-
-/// [`full_range_schedule_into`] with the feasibility-and-maximality
-/// certificate. The certificate itself allocates; use the unchecked variant
-/// on the zero-allocation hot path.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    full_range_schedule_into(conv, requests, mask, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
-}
-
-/// [`full_range_schedule`] with its certificate: the returned schedule is
-/// verified feasible and of maximum size `min(requests, free channels)`.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = full_range_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
 }
 
 #[cfg(test)]
@@ -103,7 +65,7 @@ mod tests {
         let conv = Conversion::full(6).unwrap();
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 0]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = full_range_schedule(&conv, &rv, &mask).unwrap();
+        let a = FullRange.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 5);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -115,7 +77,7 @@ mod tests {
         let conv = Conversion::full(6).unwrap();
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = full_range_schedule(&conv, &rv, &mask).unwrap();
+        let a = FullRange.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 6);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -125,7 +87,7 @@ mod tests {
         let conv = Conversion::full(4).unwrap();
         let rv = RequestVector::from_counts(vec![4, 0, 0, 0]).unwrap();
         let mask = ChannelMask::with_occupied(4, &[0, 2]).unwrap();
-        let a = full_range_schedule(&conv, &rv, &mask).unwrap();
+        let a = FullRange.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 2);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -136,7 +98,7 @@ mod tests {
         let rv = RequestVector::new(6);
         let mask = ChannelMask::all_free(6);
         assert!(matches!(
-            full_range_schedule(&conv, &rv, &mask),
+            FullRange.schedule(&conv, &rv, &mask),
             Err(Error::UnsupportedConversion { .. })
         ));
     }

@@ -79,36 +79,6 @@ pub fn glover_into(
     }
 }
 
-/// [`glover`] with its certificate: checks that the instance is well-formed
-/// convex and that the output is a maximum matching of it. Unlike
-/// [`super::first_available::first_available_checked`] this does not require
-/// monotone endpoints — Glover's min-`END` rule is exact for any convex
-/// instance.
-///
-/// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
-pub fn glover_checked(inst: &ConvexInstance) -> Result<Vec<Option<usize>>, crate::error::Error> {
-    crate::verify::check_convex(inst)?;
-    let match_of_right = glover(inst);
-    crate::verify::check_interval_matching(inst, &match_of_right)?;
-    Ok(match_of_right)
-}
-
-/// [`glover_into`] with the [`glover_checked`] certificate. The certificate
-/// itself allocates; use the unchecked variant when reusing buffers for
-/// speed.
-///
-/// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
-pub fn glover_into_checked(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) -> Result<(), crate::error::Error> {
-    crate::verify::check_convex(inst)?;
-    glover_into(inst, scratch, out);
-    crate::verify::check_interval_matching(inst, out)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

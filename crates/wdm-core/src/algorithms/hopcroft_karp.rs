@@ -6,9 +6,17 @@
 //! schedulers are measured against (and what the benchmark suite reproduces
 //! empirically).
 
+use wdm_attr::allow_reach;
+
 use crate::arena::ScratchArena;
+use crate::conversion::Conversion;
+use crate::error::Error;
 use crate::graph::RequestGraph;
 use crate::matching::Matching;
+use crate::occupancy::ChannelMask;
+use crate::request::RequestVector;
+
+use super::{Assignment, Matcher};
 
 const INF: usize = usize::MAX;
 
@@ -114,28 +122,37 @@ pub fn hopcroft_karp_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Mat
     }
 }
 
-/// [`hopcroft_karp_in`] with the Berge-certificate of
-/// [`hopcroft_karp_checked`].
-///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
-pub fn hopcroft_karp_in_checked(
-    graph: &RequestGraph,
-    scratch: &mut ScratchArena,
-) -> Result<Matching, crate::error::Error> {
-    let m = hopcroft_karp_in(graph, scratch);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
+/// Hopcroft–Karp as a per-slot scheduler: builds the slot's explicit
+/// request graph and matches it from scratch. Valid for every conversion
+/// kind and always maximum, but it allocates the graph every slot — the
+/// baseline the paper's compact schedulers are measured against, and the
+/// oracle they are certified against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HopcroftKarp;
 
-/// [`hopcroft_karp`] with its certificate: the returned matching is verified
-/// valid and maximum (no augmenting path, Berge's theorem) before being
-/// returned.
-///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
-pub fn hopcroft_karp_checked(graph: &RequestGraph) -> Result<Matching, crate::error::Error> {
-    let m = hopcroft_karp(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
+impl Matcher for HopcroftKarp {
+    /// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
+    #[allow_reach(
+        hot_path,
+        reason = "reference matcher builds the graph afresh by design; the zero-alloc pins cover the Auto/FirstAvailable/Approximate production policies"
+    )]
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        out.clear();
+        let graph = RequestGraph::with_mask(*conv, requests, mask)?;
+        let matching = hopcroft_karp_in(&graph, scratch);
+        out.extend(matching.pairs().into_iter().map(|(j, p)| Assignment {
+            input: graph.wavelength_of(j),
+            output: graph.output_wavelength(p),
+        }));
+        Ok(None)
+    }
 }
 
 #[cfg(test)]

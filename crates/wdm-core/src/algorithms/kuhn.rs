@@ -68,28 +68,6 @@ pub fn kuhn_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Matching {
     }
 }
 
-/// [`kuhn_in`] with the Berge-certificate of [`kuhn_checked`].
-///
-/// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
-pub fn kuhn_in_checked(
-    graph: &RequestGraph,
-    scratch: &mut ScratchArena,
-) -> Result<Matching, crate::error::Error> {
-    let m = kuhn_in(graph, scratch);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
-/// [`kuhn`] with its certificate: the returned matching is verified valid
-/// and maximum (no augmenting path, Berge's theorem).
-///
-/// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
-pub fn kuhn_checked(graph: &RequestGraph) -> Result<Matching, crate::error::Error> {
-    let m = kuhn(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

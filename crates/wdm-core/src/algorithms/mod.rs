@@ -10,15 +10,18 @@
 //! | [`hopcroft_karp`] | baseline [1] | arbitrary request graphs | `O(E sqrt(V))` |
 //! | [`kuhn`] | verification oracle | arbitrary request graphs | `O(V · E)` |
 //!
-//! The compact entry points (`*_schedule`) work directly on a
-//! [`crate::RequestVector`] and [`crate::ChannelMask`] without materializing
-//! the request graph; the graph-based entry points (`*_matching`) operate on
-//! an explicit [`crate::RequestGraph`] and are used for verification.
+//! The per-slot schedulers implement [`Matcher`]: [`FirstAvailable`],
+//! [`BreakFirstAvailable`], [`Approximate`], [`FullRange`], the
+//! [`HopcroftKarp`] baseline, and [`crate::Policy`], which picks among them.
+//! Each schedules a [`crate::RequestVector`] onto a [`crate::ChannelMask`]
+//! out of a reused [`ScratchArena`] and reports the distance-to-maximum
+//! bound its theorem guarantees, so [`crate::verify::certified`] judges
+//! every scheduler by one certificate.
 //!
-//! Every compact scheduler also has a buffer-reusing form (`*_into`, or
-//! `*_in` for the graph oracles) that takes a [`crate::ScratchArena`] and an
-//! output buffer instead of allocating: the production per-slot path. The
-//! allocating entry points are thin wrappers over these.
+//! The graph and interval functions (`first_available`,
+//! `first_available_matching`, `break_fa_matching`, `glover`,
+//! `hopcroft_karp`, `kuhn`, and their `*_into`/`*_in` arena forms) are the
+//! reference implementations the tests compare the schedulers against.
 
 pub mod approx;
 pub mod break_fa;
@@ -29,34 +32,18 @@ pub mod hopcroft_karp;
 pub mod kuhn;
 pub mod repair;
 
-pub use approx::{
-    approx_schedule, approx_schedule_checked, approx_schedule_into, approx_schedule_into_checked,
-    ApproxOutcome, ApproxStats,
-};
-pub use break_fa::{
-    break_fa_matching, break_fa_matching_checked, break_fa_schedule, break_fa_schedule_checked,
-    break_fa_schedule_into, break_fa_schedule_into_checked, break_fa_schedule_with,
-    break_fa_schedule_with_checked, break_fa_schedule_with_into,
-    break_fa_schedule_with_into_checked, BreakChoice,
-};
+pub use approx::{approx_schedule, approx_schedule_into, ApproxOutcome, ApproxStats, Approximate};
+pub use break_fa::{break_fa_matching, BreakChoice, BreakFirstAvailable};
 pub use first_available::{
-    fa_schedule, fa_schedule_checked, fa_schedule_into, fa_schedule_into_checked, first_available,
-    first_available_checked, first_available_into, first_available_into_checked,
-    first_available_matching, first_available_matching_checked, ConvexInstance,
+    first_available, first_available_into, first_available_matching, ConvexInstance, FirstAvailable,
 };
-pub use full_range::{
-    full_range_schedule, full_range_schedule_checked, full_range_schedule_into,
-    full_range_schedule_into_checked,
-};
-pub use glover::{glover, glover_checked, glover_into, glover_into_checked};
-pub use hopcroft_karp::{
-    hopcroft_karp, hopcroft_karp_checked, hopcroft_karp_in, hopcroft_karp_in_checked,
-};
-pub use kuhn::{kuhn, kuhn_checked, kuhn_in, kuhn_in_checked};
-pub use repair::{
-    repair_schedule_into, repair_schedule_into_checked, RepairOutcome, DEFAULT_REPAIR_BUDGET,
-};
+pub use full_range::FullRange;
+pub use glover::{glover, glover_into};
+pub use hopcroft_karp::{hopcroft_karp, hopcroft_karp_in, HopcroftKarp};
+pub use kuhn::{kuhn, kuhn_in};
+pub use repair::{repair_schedule_into, RepairOutcome, DEFAULT_REPAIR_BUDGET};
 
+use crate::arena::ScratchArena;
 use crate::conversion::Conversion;
 use crate::error::Error;
 use crate::occupancy::ChannelMask;
@@ -71,6 +58,49 @@ pub struct Assignment {
     pub input: usize,
     /// Output wavelength channel assigned to it.
     pub output: usize,
+}
+
+/// A per-fiber scheduler: grants one slot's requests onto the free output
+/// channels.
+///
+/// Every implementation is judged by one certificate
+/// ([`crate::verify::certify`]): its schedule is feasible and a maximum
+/// matching of the slot's request graph, or within the bound it reports of
+/// one.
+pub trait Matcher {
+    /// Schedules one slot into caller-provided buffers.
+    ///
+    /// `out` is cleared and receives the granted assignments; every
+    /// intermediate lives in `scratch`. Once both have reached steady-state
+    /// capacity for the fiber's `k` (one warmup slot, or
+    /// [`ScratchArena::for_k`]) the compact schedulers perform zero heap
+    /// allocations.
+    ///
+    /// Returns the distance-to-maximum bound the algorithm guarantees:
+    /// `None` when the schedule is a maximum matching, `Some(b)` when it is
+    /// within `b` of one (Theorem 3).
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error>;
+
+    /// [`Self::schedule_into`] with fresh buffers, returning the granted
+    /// assignments.
+    fn schedule(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+    ) -> Result<Vec<Assignment>, Error> {
+        let mut scratch = ScratchArena::new();
+        let mut out = Vec::new();
+        self.schedule_into(conv, requests, mask, &mut scratch, &mut out)?;
+        Ok(out)
+    }
 }
 
 /// Checks that a list of assignments is a feasible contention-free schedule

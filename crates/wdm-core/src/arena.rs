@@ -7,9 +7,9 @@
 //! interval lists, matching arrays, and BFS queues on every slot spends more
 //! time in the allocator than in the algorithm.
 //!
-//! [`ScratchArena`] owns every buffer the compact schedulers need. The
-//! `*_into`/`*_in` variants of the algorithm entry points (e.g.
-//! [`crate::algorithms::fa_schedule_into`]) borrow the arena, `clear()` the
+//! [`ScratchArena`] owns every buffer the compact schedulers need.
+//! [`crate::algorithms::Matcher::schedule_into`] and the `*_into`/`*_in`
+//! forms of the reference algorithms borrow the arena, `clear()` the
 //! buffers they use (which keeps capacity), and refill them. After a warmup
 //! slot has grown each buffer to its steady-state size for the fiber's `k`,
 //! subsequent slots perform **zero heap allocations** — a property pinned by

@@ -151,26 +151,6 @@ impl RequestGraph {
         debug_assert_eq!(last - first + 1, a.len(), "adjacency of left {j} is not contiguous");
         Some((first, last))
     }
-
-    /// Like [`Self::position_interval`], but reports a non-contiguous
-    /// adjacency as [`Error::AdjacencyNotContiguous`] instead of relying on
-    /// a debug assertion. Used by the certificate layer
-    /// ([`crate::verify`]), where convexity is a checked invariant rather
-    /// than a caller promise.
-    pub fn position_interval_checked(&self, j: usize) -> Result<Option<(usize, usize)>, Error> {
-        let a = &self.adj[j];
-        let (Some(&first), Some(&last)) = (a.first(), a.last()) else {
-            return Ok(None);
-        };
-        if last - first + 1 != a.len() {
-            return Err(Error::AdjacencyNotContiguous {
-                left: j,
-                expected: last - first + 1,
-                actual: a.len(),
-            });
-        }
-        Ok(Some((first, last)))
-    }
 }
 
 #[cfg(test)]

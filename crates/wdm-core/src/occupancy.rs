@@ -450,8 +450,8 @@ impl ChannelMask {
     /// `k` and no padding bit (position `>= k`) is set.
     ///
     /// The certificate layer runs this alongside the matching certificates
-    /// so the `_checked` twins would catch any drift between the word-level
-    /// kernels and the per-channel semantics.
+    /// so [`crate::verify::certify`] catches any drift between the
+    /// word-level kernels and the per-channel semantics.
     pub fn check_integrity(&self) -> Result<(), Error> {
         if self.words.len() != word_count(self.k) {
             return Err(Error::LengthMismatch {

@@ -6,16 +6,15 @@
 //! packages the matching algorithms behind one interface; the interconnect
 //! crates instantiate `N` of these, one per output fiber.
 
-use wdm_attr::{allow_reach, hot_path};
+use wdm_attr::hot_path;
 
 use crate::algorithms::{
-    approx_schedule_into, break_fa_schedule_into, fa_schedule_into, full_range_schedule_into,
-    hopcroft_karp_in, repair_schedule_into, Assignment, DEFAULT_REPAIR_BUDGET,
+    repair_schedule_into, Approximate, Assignment, BreakFirstAvailable, FirstAvailable, FullRange,
+    HopcroftKarp, Matcher, DEFAULT_REPAIR_BUDGET,
 };
 use crate::arena::ScratchArena;
 use crate::conversion::{Conversion, ConversionKind};
 use crate::error::Error;
-use crate::graph::RequestGraph;
 use crate::occupancy::ChannelMask;
 use crate::request::RequestVector;
 
@@ -72,6 +71,39 @@ impl core::str::FromStr for Policy {
             "approx" => Ok(Policy::Approximate),
             "hk" => Ok(Policy::HopcroftKarp),
             other => Err(Error::UnknownPolicy { name: other.to_owned() }),
+        }
+    }
+}
+
+impl Matcher for Policy {
+    /// Runs the policy's scheduler from scratch. [`Policy::Auto`] picks by
+    /// conversion kind: [`FullRange`] for full-range, [`BreakFirstAvailable`]
+    /// for circular, [`FirstAvailable`] for non-circular.
+    ///
+    /// Paper: §III–IV (Theorems 1–3), dispatched by conversion kind.
+    fn schedule_into(
+        &self,
+        conv: &Conversion,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        scratch: &mut ScratchArena,
+        out: &mut Vec<Assignment>,
+    ) -> Result<Option<usize>, Error> {
+        match self {
+            Policy::Auto if conv.is_full() => {
+                FullRange.schedule_into(conv, requests, mask, scratch, out)
+            }
+            Policy::Auto if conv.kind() == ConversionKind::Circular => {
+                BreakFirstAvailable::default().schedule_into(conv, requests, mask, scratch, out)
+            }
+            Policy::Auto | Policy::FirstAvailable => {
+                FirstAvailable.schedule_into(conv, requests, mask, scratch, out)
+            }
+            Policy::BreakFirstAvailable => {
+                BreakFirstAvailable::default().schedule_into(conv, requests, mask, scratch, out)
+            }
+            Policy::Approximate => Approximate.schedule_into(conv, requests, mask, scratch, out),
+            Policy::HopcroftKarp => HopcroftKarp.schedule_into(conv, requests, mask, scratch, out),
         }
     }
 }
@@ -471,13 +503,16 @@ impl FiberScheduler {
                     self.warm_streak = (self.warm_streak + 1).min(WARM_BACKOFF_CAP.ilog2());
                     self.warm_skip = 1 << self.warm_streak;
                     return self
-                        .dispatch_into(requests, mask, arena, out)
+                        .policy
+                        .schedule_into(&self.conversion, requests, mask, arena, out)
                         .map(|bound| (bound, SlotPath::Fallback));
                 }
             }
         }
         self.warm_skip = self.warm_skip.saturating_sub(1);
-        self.dispatch_into(requests, mask, arena, out).map(|bound| (bound, SlotPath::Cold))
+        self.policy
+            .schedule_into(&self.conversion, requests, mask, arena, out)
+            .map(|bound| (bound, SlotPath::Cold))
     }
 
     /// From-scratch scheduling into the arena without touching the warm
@@ -491,7 +526,7 @@ impl FiberScheduler {
         arena: &mut ScratchArena,
     ) -> Result<SlotStats, Error> {
         let mut out = std::mem::take(&mut arena.assignments);
-        let result = self.dispatch_into(requests, mask, arena, &mut out);
+        let result = self.policy.schedule_into(&self.conversion, requests, mask, arena, &mut out);
         let stats = match result {
             Ok(approx_bound) => {
                 self.debug_certify(requests, mask, &out, approx_bound);
@@ -523,150 +558,10 @@ impl FiberScheduler {
         approx_bound: Option<usize>,
     ) {
         debug_assert!(
-            match approx_bound {
-                None => crate::verify::certify_assignments(&self.conversion, requests, mask, out),
-                Some(bound) => crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    out,
-                    bound,
-                ),
-            }
-            .is_ok(),
+            crate::verify::certify(&self.conversion, requests, mask, out, approx_bound).is_ok(),
             "scheduler produced an uncertifiable schedule under {:?}",
             self.policy
         );
-    }
-
-    /// [`Self::schedule_slot`] with the certificate run unconditionally
-    /// (release builds included). The certificate allocates — this is the
-    /// verification twin, not the hot path. Warm state evolves exactly as in
-    /// the unchecked twin, so alternating or comparing the two stays
-    /// bit-identical.
-    pub fn schedule_slot_checked(
-        &mut self,
-        requests: &RequestVector,
-        mask: &ChannelMask,
-        arena: &mut ScratchArena,
-    ) -> Result<SlotStats, Error> {
-        let stats = self.schedule_slot(requests, mask, arena)?;
-        match stats.approx_bound {
-            None => {
-                crate::verify::certify_assignments(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &arena.assignments,
-                )?;
-            }
-            Some(bound) => {
-                crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &arena.assignments,
-                    bound,
-                )?;
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Runs the configured policy's buffer-reusing scheduler, returning the
-    /// approximation bound (if any).
-    fn dispatch_into(
-        &self,
-        requests: &RequestVector,
-        mask: &ChannelMask,
-        arena: &mut ScratchArena,
-        out: &mut Vec<Assignment>,
-    ) -> Result<Option<usize>, Error> {
-        let conv = &self.conversion;
-        match self.policy {
-            Policy::Auto => {
-                if conv.is_full() {
-                    full_range_schedule_into(conv, requests, mask, out)?;
-                } else if conv.kind() == ConversionKind::Circular {
-                    break_fa_schedule_into(conv, requests, mask, arena, out)?;
-                } else {
-                    fa_schedule_into(conv, requests, mask, arena, out)?;
-                }
-                Ok(None)
-            }
-            Policy::FirstAvailable => {
-                fa_schedule_into(conv, requests, mask, arena, out)?;
-                Ok(None)
-            }
-            Policy::BreakFirstAvailable => {
-                break_fa_schedule_into(conv, requests, mask, arena, out)?;
-                Ok(None)
-            }
-            Policy::Approximate => {
-                let stats = approx_schedule_into(conv, requests, mask, arena, out)?;
-                Ok(Some(stats.bound))
-            }
-            Policy::HopcroftKarp => {
-                self.hk_reference_into(requests, mask, arena, out)?;
-                Ok(None)
-            }
-        }
-    }
-
-    /// The [`Policy::HopcroftKarp`] leg of [`Self::dispatch_into`]: the
-    /// reference matcher, kept as the oracle the production policies are
-    /// certified against.
-    #[allow_reach(
-        hot_path,
-        reason = "reference matcher builds the graph afresh by design; the zero-alloc pins cover the Auto/FirstAvailable/Approximate production policies"
-    )]
-    fn hk_reference_into(
-        &self,
-        requests: &RequestVector,
-        mask: &ChannelMask,
-        arena: &mut ScratchArena,
-        out: &mut Vec<Assignment>,
-    ) -> Result<(), Error> {
-        let graph = RequestGraph::with_mask(self.conversion, requests, mask)?;
-        let matching = hopcroft_karp_in(&graph, arena);
-        out.clear();
-        out.extend(matching.pairs().into_iter().map(|(j, p)| Assignment {
-            input: graph.wavelength_of(j),
-            output: graph.output_wavelength(p),
-        }));
-        Ok(())
-    }
-
-    /// [`Self::schedule_with_mask`] with the certificate run unconditionally
-    /// (release builds included): the returned schedule is verified feasible
-    /// and maximum — or, under [`Policy::Approximate`], within its Theorem 3
-    /// bound of the maximum.
-    pub fn schedule_with_mask_checked(
-        &self,
-        requests: &RequestVector,
-        mask: &ChannelMask,
-    ) -> Result<Schedule, Error> {
-        let schedule = self.schedule_with_mask(requests, mask)?;
-        match schedule.approx_bound {
-            None => {
-                crate::verify::certify_assignments(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &schedule.assignments,
-                )?;
-            }
-            Some(bound) => {
-                crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &schedule.assignments,
-                    bound,
-                )?;
-            }
-        }
-        Ok(schedule)
     }
 }
 

@@ -20,18 +20,19 @@
 //!   `max(δ(u)−1, d−δ(u))` of the maximum (Theorem 3), checked against the
 //!   Hopcroft–Karp size by [`certify_assignments_within`].
 //!
-//! The `*_checked` twins of the algorithm entry points (e.g.
-//! [`crate::algorithms::break_fa::break_fa_schedule_checked`]) run the
-//! algorithm and then its certificate, turning every theorem the
-//! implementation relies on into a runtime-checkable contract. The
-//! schedulers run the same certificates behind `debug_assert!` on the hot
-//! path, so debug builds self-verify at full coverage while release builds
-//! pay nothing.
+//! [`certify`] picks the right certificate for a schedule and the bound
+//! its [`Matcher`] reported, and [`certified`] runs any matcher and then
+//! certifies its output, turning every theorem the implementation relies on
+//! into a runtime-checkable contract. The schedulers run the same
+//! certificate behind `debug_assert!` on the hot path, so debug builds
+//! self-verify at full coverage while release builds pay nothing; release
+//! callers certify a slot by passing `FiberScheduler::schedule_slot`'s
+//! assignments and [`crate::SlotStats::approx_bound`] to [`certify`].
 
 use std::collections::VecDeque;
 
 use crate::algorithms::first_available::ConvexInstance;
-use crate::algorithms::{hopcroft_karp, validate_assignments, Assignment};
+use crate::algorithms::{hopcroft_karp, validate_assignments, Assignment, Matcher};
 use crate::breaking::BrokenGraph;
 use crate::conversion::{Conversion, ConversionKind};
 use crate::crossing::find_crossing_pair;
@@ -275,7 +276,7 @@ pub fn lift_assignments(
 /// the same span.
 ///
 /// The schedulers trust `any_free_in_span`/`free_in_span` and the prefix
-/// tables on the hot path; this check keeps the `_checked` twins in lockstep
+/// tables on the hot path; this check keeps every certificate in lockstep
 /// with the bit-level kernels, so a drifted word mask fails certification
 /// instead of silently corrupting schedules.
 pub fn check_mask_kernels(conv: &Conversion, mask: &ChannelMask) -> Result<(), Error> {
@@ -344,10 +345,45 @@ pub fn certify_assignments_within(
     Ok(())
 }
 
+/// Certifies a schedule against the distance-to-maximum bound its
+/// [`Matcher`] reported: [`certify_assignments`] when the matcher claims a
+/// maximum matching (`None`), [`certify_assignments_within`] for
+/// `Some(bound)`.
+pub fn certify(
+    conv: &Conversion,
+    requests: &RequestVector,
+    mask: &ChannelMask,
+    assignments: &[Assignment],
+    bound: Option<usize>,
+) -> Result<(), Error> {
+    match bound {
+        None => certify_assignments(conv, requests, mask, assignments),
+        Some(bound) => certify_assignments_within(conv, requests, mask, assignments, bound),
+    }
+}
+
+/// Runs `matcher` on one slot and [`certify`]s its schedule before returning
+/// it: the certificate-checked form of every scheduler. The certificate
+/// allocates; the hot path runs it only in debug builds.
+pub fn certified<M: Matcher>(
+    matcher: &M,
+    conv: &Conversion,
+    requests: &RequestVector,
+    mask: &ChannelMask,
+) -> Result<Vec<Assignment>, Error> {
+    let mut scratch = crate::ScratchArena::new();
+    let mut out = Vec::new();
+    let bound = matcher.schedule_into(conv, requests, mask, &mut scratch, &mut out)?;
+    certify(conv, requests, mask, &out, bound)?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{break_fa_schedule, fa_schedule, kuhn};
+    use crate::algorithms::{kuhn, BreakChoice, BreakFirstAvailable, FirstAvailable};
+
+    const BFA: BreakFirstAvailable = BreakFirstAvailable(BreakChoice::FirstRequest);
 
     fn paper_circular() -> (Conversion, RequestVector, RequestGraph) {
         let conv = Conversion::symmetric_circular(6, 3).expect("valid");
@@ -398,7 +434,7 @@ mod tests {
     fn lift_round_trips_compact_schedules() {
         let (conv, rv, g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let a = BFA.schedule(&conv, &rv, &mask).expect("schedules");
         let m = lift_assignments(&g, &a).expect("lifts");
         assert_eq!(m.size(), a.len());
         MatchingCertificate::new(&g, &m).check().expect("maximum");
@@ -417,7 +453,7 @@ mod tests {
         let conv = Conversion::non_circular(6, 1, 1).expect("valid");
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2]).expect("valid");
         let mask = ChannelMask::with_occupied(6, &[2]).expect("valid");
-        let a = fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let a = FirstAvailable.schedule(&conv, &rv, &mask).expect("schedules");
         certify_assignments(&conv, &rv, &mask, &a).expect("Theorem 1");
     }
 
@@ -425,7 +461,7 @@ mod tests {
     fn certify_rejects_truncated_schedule() {
         let (conv, rv, _g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let mut a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let mut a = BFA.schedule(&conv, &rv, &mask).expect("schedules");
         a.pop();
         assert!(matches!(
             certify_assignments(&conv, &rv, &mask, &a),
@@ -437,13 +473,50 @@ mod tests {
     fn certify_within_accepts_gap_up_to_bound() {
         let (conv, rv, _g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let mut a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let mut a = BFA.schedule(&conv, &rv, &mask).expect("schedules");
         a.pop();
         certify_assignments_within(&conv, &rv, &mask, &a, 1).expect("within 1");
         assert!(matches!(
             certify_assignments_within(&conv, &rv, &mask, &a, 0),
             Err(Error::BoundViolated { .. })
         ));
+    }
+
+    /// A matcher that runs Break and First Available, drops its last grant,
+    /// and claims the given distance-to-maximum bound anyway.
+    struct DropsOne(Option<usize>);
+
+    impl Matcher for DropsOne {
+        fn schedule_into(
+            &self,
+            conv: &Conversion,
+            requests: &RequestVector,
+            mask: &ChannelMask,
+            scratch: &mut crate::ScratchArena,
+            out: &mut Vec<Assignment>,
+        ) -> Result<Option<usize>, Error> {
+            BFA.schedule_into(conv, requests, mask, scratch, out)?;
+            out.pop();
+            Ok(self.0)
+        }
+    }
+
+    #[test]
+    fn certified_holds_a_matcher_to_its_reported_bound() {
+        let (conv, rv, _g) = paper_circular();
+        let mask = ChannelMask::all_free(6);
+        let exact = certified(&BFA, &conv, &rv, &mask).expect("maximum");
+        assert_eq!(exact.len(), 6);
+        assert!(matches!(
+            certified(&DropsOne(None), &conv, &rv, &mask),
+            Err(Error::NotMaximum { .. })
+        ));
+        assert!(matches!(
+            certified(&DropsOne(Some(0)), &conv, &rv, &mask),
+            Err(Error::BoundViolated { size: 5, bound: 0, optimal: 6 })
+        ));
+        let within = certified(&DropsOne(Some(1)), &conv, &rv, &mask).expect("within 1");
+        assert_eq!(within.len(), 5);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Differential battery: the arena-backed `*_into`/`*_in` entry points must
-//! be observationally identical to the allocating originals, and the
-//! compact schedulers must keep agreeing with the matching oracles.
+//! Differential battery: the arena-backed `Matcher::schedule_into` and
+//! `*_into`/`*_in` entry points must be observationally identical to the
+//! allocating forms, and the compact schedulers must keep agreeing with the
+//! matching oracles.
 //!
 //! Two properties per algorithm family:
 //!
@@ -19,10 +20,9 @@
 use proptest::prelude::*;
 
 use wdm_core::algorithms::{
-    approx_schedule, approx_schedule_into, break_fa_schedule, break_fa_schedule_into,
-    break_fa_schedule_with, break_fa_schedule_with_into, fa_schedule, fa_schedule_into,
-    first_available, first_available_into, full_range_schedule, full_range_schedule_into, glover,
-    glover_into, hopcroft_karp, hopcroft_karp_in, kuhn, kuhn_in, BreakChoice, ConvexInstance,
+    approx_schedule, approx_schedule_into, first_available, first_available_into, glover,
+    glover_into, hopcroft_karp, hopcroft_karp_in, kuhn, kuhn_in, BreakChoice, BreakFirstAvailable,
+    ConvexInstance, FirstAvailable, FullRange, Matcher,
 };
 use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector, ScratchArena};
 
@@ -66,7 +66,9 @@ fn dirty_arena(k: usize) -> ScratchArena {
     let rv = RequestVector::from_counts(vec![2, 0, 1, 3, 1]).unwrap();
     let mask = ChannelMask::all_free(5);
     let mut out = Vec::new();
-    break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
+    BreakFirstAvailable::default()
+        .schedule_into(&conv, &rv, &mask, &mut scratch, &mut out)
+        .unwrap();
     let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
     let _ = hopcroft_karp_in(&g, &mut scratch);
     let _ = kuhn_in(&g, &mut scratch);
@@ -92,9 +94,9 @@ proptest! {
         let mask = mask_of(&inst);
         let mut scratch = dirty_arena(inst.k);
 
-        let fresh_fa = fa_schedule(&conv, &rv, &mask).unwrap();
+        let fresh_fa = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         let mut arena_fa = Vec::new();
-        fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_fa).unwrap();
+        FirstAvailable.schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_fa).unwrap();
         prop_assert_eq!(&arena_fa, &fresh_fa, "FA arena vs fresh");
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
@@ -123,17 +125,16 @@ proptest! {
         let mask = mask_of(&inst);
         let mut scratch = dirty_arena(inst.k);
 
-        let fresh = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let bfa = BreakFirstAvailable::default();
+        let fresh = bfa.schedule(&conv, &rv, &mask).unwrap();
         let mut arena_out = Vec::new();
-        break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_out).unwrap();
+        bfa.schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_out).unwrap();
         prop_assert_eq!(&arena_out, &fresh, "BFA arena vs fresh");
 
-        let densest =
-            break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
+        let densest_bfa = BreakFirstAvailable(BreakChoice::DensestWavelength);
+        let densest = densest_bfa.schedule(&conv, &rv, &mask).unwrap();
         let mut arena_densest = Vec::new();
-        break_fa_schedule_with_into(
-            &conv, &rv, &mask, BreakChoice::DensestWavelength, &mut scratch, &mut arena_densest,
-        ).unwrap();
+        densest_bfa.schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_densest).unwrap();
         prop_assert_eq!(&arena_densest, &densest, "densest BFA arena vs fresh");
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
@@ -196,9 +197,9 @@ proptest! {
         prop_assert_eq!(&arena_out, &fresh, "first_available arena vs fresh");
 
         let full = Conversion::full(inst.k).unwrap();
-        let fresh_full = full_range_schedule(&full, &rv, &mask).unwrap();
+        let fresh_full = FullRange.schedule(&full, &rv, &mask).unwrap();
         let mut full_out = Vec::new();
-        full_range_schedule_into(&full, &rv, &mask, &mut full_out).unwrap();
+        FullRange.schedule_into(&full, &rv, &mask, &mut scratch, &mut full_out).unwrap();
         prop_assert_eq!(&full_out, &fresh_full, "full-range into vs fresh");
     }
 
@@ -213,9 +214,10 @@ proptest! {
             let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
             let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
             let mask = mask_of(inst);
+            let bfa = BreakFirstAvailable::default();
             let mut out = Vec::new();
-            break_fa_schedule_into(&conv, &rv, &mask, &mut reused, &mut out).unwrap();
-            let fresh = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            bfa.schedule_into(&conv, &rv, &mask, &mut reused, &mut out).unwrap();
+            let fresh = bfa.schedule(&conv, &rv, &mask).unwrap();
             prop_assert_eq!(&out, &fresh, "slot-to-slot reuse changed the schedule");
         }
     }

@@ -3,37 +3,27 @@
 //! Exercises the degenerate geometries and slot shapes the sweep never
 //! visits — `d >= k` (circular conversion covering the whole ring), `k = 1`,
 //! an empty slot, and a fiber offered more requests than channels — through
-//! both the plain entry points and their `*_checked` certificate twins.
+//! the plain entry points, each certified against the bound it reports.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use wdm_core::algorithms::{
-    approx_schedule_checked, approx_schedule_into, break_fa_schedule_checked,
-    break_fa_schedule_into, fa_schedule_checked, fa_schedule_into, full_range_schedule_checked,
-    full_range_schedule_into,
+    approx_schedule_into, BreakFirstAvailable, FirstAvailable, FullRange, Matcher,
 };
+use wdm_core::verify::certify;
 use wdm_core::{ChannelMask, Conversion, FiberScheduler, Policy, RequestVector, ScratchArena};
 
-/// Runs one slot through `schedule_slot` and `schedule_slot_checked` with
-/// separate arenas, asserting the two agree, and returns the stats. Each
-/// entry point gets its own clone of the scheduler so both run cold — a
-/// shared instance would warm-start the second call and may legitimately
-/// pick different channels for the same maximum cardinality.
-fn slot_both_ways(
+/// Runs one cold slot through `schedule_slot` on a clone of the scheduler,
+/// certifies its assignments against the bound it reported, and returns
+/// the stats.
+fn certified_slot(
     scheduler: &FiberScheduler,
     rv: &RequestVector,
     mask: &ChannelMask,
 ) -> wdm_core::SlotStats {
     let mut arena = ScratchArena::new();
     let stats = scheduler.clone().schedule_slot(rv, mask, &mut arena).unwrap();
-    let mut checked_arena = ScratchArena::new();
-    let checked = scheduler.clone().schedule_slot_checked(rv, mask, &mut checked_arena).unwrap();
-    assert_eq!(stats, checked, "checked twin disagrees with plain schedule_slot");
-    assert_eq!(
-        arena.assignments(),
-        checked_arena.assignments(),
-        "checked twin produced different assignments"
-    );
+    certify(scheduler.conversion(), rv, mask, arena.assignments(), stats.approx_bound).unwrap();
     assert_eq!(stats.granted, arena.assignments().len());
     stats
 }
@@ -52,7 +42,7 @@ fn circular_degree_covering_ring_is_full_range() {
     let free = mask.free_count();
 
     for policy in [Policy::Auto, Policy::BreakFirstAvailable, Policy::Approximate] {
-        let stats = slot_both_ways(&FiberScheduler::new(conv, policy), &rv, &mask);
+        let stats = certified_slot(&FiberScheduler::new(conv, policy), &rv, &mask);
         assert_eq!(
             stats.granted,
             free.min(rv.total()),
@@ -61,17 +51,18 @@ fn circular_degree_covering_ring_is_full_range() {
         assert!(stats.is_exact(), "{policy:?} is exact on full-range conversion");
     }
 
-    // The compact schedulers agree through their direct entry points.
+    // The compact schedulers certify through their direct entry points.
     let mut scratch = ScratchArena::for_k(k);
     let mut out = Vec::new();
-    break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
+    let bfa = BreakFirstAvailable::default();
+    let bound = bfa.schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
     assert_eq!(out.len(), free.min(rv.total()));
-    assert_eq!(break_fa_schedule_checked(&conv, &rv, &mask).unwrap(), out);
+    certify(&conv, &rv, &mask, &out, bound).unwrap();
     let stats = approx_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
     assert_eq!((stats.delta, stats.bound), (0, 0), "full-range approximation is exact");
-    assert_eq!(approx_schedule_checked(&conv, &rv, &mask).unwrap().assignments, out);
-    full_range_schedule_into(&conv, &rv, &mask, &mut out).unwrap();
-    assert_eq!(full_range_schedule_checked(&conv, &rv, &mask).unwrap(), out);
+    certify(&conv, &rv, &mask, &out, Some(stats.bound)).unwrap();
+    let bound = FullRange.schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
+    certify(&conv, &rv, &mask, &out, bound).unwrap();
 }
 
 /// `k = 1`: a single wavelength, where non-circular conversion is the
@@ -87,7 +78,7 @@ fn single_wavelength_fiber() {
             let rv = RequestVector::from_counts(vec![count]).unwrap();
             for free in [true, false] {
                 let mask = ChannelMask::from_flags(vec![free]).unwrap();
-                let stats = slot_both_ways(&FiberScheduler::new(conv, Policy::Auto), &rv, &mask);
+                let stats = certified_slot(&FiberScheduler::new(conv, Policy::Auto), &rv, &mask);
                 let expect = usize::from(free).min(count);
                 assert_eq!(stats.granted, expect, "k=1 {conv:?} count={count} free={free}");
                 assert_eq!(stats.requested, count);
@@ -99,9 +90,10 @@ fn single_wavelength_fiber() {
     let mask = ChannelMask::all_free(1);
     let mut scratch = ScratchArena::for_k(1);
     let mut out = Vec::new();
-    fa_schedule_into(&non_circ, &rv, &mask, &mut scratch, &mut out).unwrap();
+    let bound =
+        FirstAvailable.schedule_into(&non_circ, &rv, &mask, &mut scratch, &mut out).unwrap();
     assert_eq!(out.len(), 1);
-    assert_eq!(fa_schedule_checked(&non_circ, &rv, &mask).unwrap(), out);
+    certify(&non_circ, &rv, &mask, &out, bound).unwrap();
 }
 
 /// An empty slot (no requests at all) grants nothing and leaves the arena's
@@ -121,7 +113,7 @@ fn empty_slot_grants_nothing() {
         (Conversion::symmetric_circular(k, 3).unwrap(), Policy::HopcroftKarp),
     ];
     for (conv, policy) in cases {
-        let stats = slot_both_ways(&FiberScheduler::new(conv, policy), &rv, &mask);
+        let stats = certified_slot(&FiberScheduler::new(conv, policy), &rv, &mask);
         assert_eq!(stats.granted, 0, "{policy:?}");
         assert_eq!(stats.requested, 0, "{policy:?}");
         assert_eq!(stats.rejected(), 0, "{policy:?}");
@@ -139,12 +131,13 @@ fn saturated_fiber_grants_free_channel_count() {
 
     let full = Conversion::full(k).unwrap();
     let all_free = ChannelMask::all_free(k);
-    let stats = slot_both_ways(&FiberScheduler::new(full, Policy::Auto), &rv, &all_free);
+    let stats = certified_slot(&FiberScheduler::new(full, Policy::Auto), &rv, &all_free);
     assert_eq!(stats.granted, k, "full conversion saturates every channel");
     assert_eq!(stats.rejected(), rv.total() - k);
 
     // With limited conversion the grant count is still the maximum matching
-    // (certified by the checked twin) and bounded by the free channels.
+    // (certified against the reported bound) and bounded by the free
+    // channels.
     let some_occupied =
         ChannelMask::from_flags(vec![true, false, true, true, false, true]).unwrap();
     for (conv, policy) in [
@@ -152,7 +145,7 @@ fn saturated_fiber_grants_free_channel_count() {
         (Conversion::symmetric_circular(k, 3).unwrap(), Policy::BreakFirstAvailable),
         (Conversion::symmetric_circular(k, 5).unwrap(), Policy::Auto),
     ] {
-        let stats = slot_both_ways(&FiberScheduler::new(conv, policy), &rv, &some_occupied);
+        let stats = certified_slot(&FiberScheduler::new(conv, policy), &rv, &some_occupied);
         assert_eq!(
             stats.granted,
             some_occupied.free_count(),

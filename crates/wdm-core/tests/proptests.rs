@@ -18,13 +18,12 @@
 use proptest::prelude::*;
 
 use wdm_core::algorithms::{
-    approx_schedule, approx_schedule_checked, break_fa_matching, break_fa_matching_checked,
-    break_fa_schedule, break_fa_schedule_checked, break_fa_schedule_with, fa_schedule,
-    fa_schedule_checked, first_available_matching, first_available_matching_checked, glover,
-    hopcroft_karp, hopcroft_karp_checked, kuhn, validate_assignments, BreakChoice, ConvexInstance,
+    approx_schedule, break_fa_matching, first_available_matching, glover, hopcroft_karp, kuhn,
+    validate_assignments, BreakChoice, BreakFirstAvailable, ConvexInstance, FirstAvailable,
+    Matcher,
 };
 use wdm_core::crossing::{find_crossing_pair, uncross};
-use wdm_core::verify::{certify_assignments, MatchingCertificate};
+use wdm_core::verify::{certified, certify, certify_assignments, MatchingCertificate};
 use wdm_core::{
     ChannelMask, Conversion, Error, FiberScheduler, Policy, RequestGraph, RequestVector,
 };
@@ -79,7 +78,7 @@ proptest! {
         let conv = Conversion::non_circular(inst.k, inst.e, inst.f).unwrap();
         let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
         let mask = mask_of(&inst);
-        let a = fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
         let oracle = kuhn(&g).size();
@@ -101,12 +100,13 @@ proptest! {
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
         let oracle = hopcroft_karp(&g).size();
 
-        let compact = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let compact = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &compact).unwrap();
         prop_assert_eq!(compact.len(), oracle, "compact BFA");
 
-        let densest =
-            break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
+        let densest = BreakFirstAvailable(BreakChoice::DensestWavelength)
+            .schedule(&conv, &rv, &mask)
+            .unwrap();
         validate_assignments(&conv, &rv, &mask, &densest).unwrap();
         prop_assert_eq!(densest.len(), oracle, "densest-wavelength BFA");
 
@@ -222,31 +222,33 @@ proptest! {
 }
 
 // The certificate suite: every algorithm output must pass its
-// `MatchingCertificate`, on ≥1000 random graphs per conversion kind. The
-// `*_checked` twins return `Err` on any violation, so a plain `.unwrap()`
-// here is the assertion.
+// `MatchingCertificate`, on ≥1000 random graphs per conversion kind.
+// `certified`, `certify`, and `MatchingCertificate::check` return `Err` on
+// any violation, so a plain `.unwrap()` here is the assertion.
 proptest! {
     #![proptest_config(cases(1000))]
 
     /// Theorem 1 via certificates: on random non-circular graphs,
-    /// `fa_schedule_checked` succeeds (validity + maximality certified
-    /// against the residual graph) and |FA| equals |Hopcroft–Karp|.
+    /// `certified(&FirstAvailable, ..)` succeeds (validity + maximality
+    /// certified against the residual graph) and |FA| equals
+    /// |Hopcroft–Karp|.
     #[test]
     fn certified_fa_matches_hopcroft_karp(inst in instance(20, 4)) {
         let conv = Conversion::non_circular(inst.k, inst.e, inst.f).unwrap();
         let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
         let mask = mask_of(&inst);
-        let a = fa_schedule_checked(&conv, &rv, &mask).unwrap();
+        let a = certified(&FirstAvailable, &conv, &rv, &mask).unwrap();
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-        let hk = hopcroft_karp_checked(&g).unwrap();
+        let hk = hopcroft_karp(&g);
+        MatchingCertificate::new(&g, &hk).check().unwrap();
         prop_assert_eq!(a.len(), hk.size());
-        let m = first_available_matching_checked(&g).unwrap();
-        prop_assert_eq!(m.size(), hk.size());
+        let m = first_available_matching(&g);
         MatchingCertificate::new(&g, &m).check().unwrap();
+        prop_assert_eq!(m.size(), hk.size());
     }
 
     /// Theorem 2 via certificates: on random circular graphs,
-    /// `break_fa_schedule_checked` succeeds and |BFA| equals
+    /// `certified(&BreakFirstAvailable, ..)` succeeds and |BFA| equals
     /// |Hopcroft–Karp|; the explicit matching is additionally certified
     /// crossing-free (Lemma 1 / Definition 1).
     #[test]
@@ -254,23 +256,28 @@ proptest! {
         let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
         let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
         let mask = mask_of(&inst);
-        let a = break_fa_schedule_checked(&conv, &rv, &mask).unwrap();
+        let a = certified(&BreakFirstAvailable::default(), &conv, &rv, &mask).unwrap();
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-        let hk = hopcroft_karp_checked(&g).unwrap();
+        let hk = hopcroft_karp(&g);
+        MatchingCertificate::new(&g, &hk).check().unwrap();
         prop_assert_eq!(a.len(), hk.size());
-        let m = break_fa_matching_checked(&g).unwrap();
+        let m = break_fa_matching(&g);
+        let cert = MatchingCertificate::new(&g, &m);
+        cert.check().unwrap();
+        cert.check_crossing_free().unwrap();
         prop_assert_eq!(m.size(), hk.size());
     }
 
-    /// Theorem 3 via certificates: `approx_schedule_checked` certifies the
-    /// schedule is within its reported bound of the optimum, and with a
+    /// Theorem 3 via certificates: `certify` accepts the approximation's
+    /// schedule within its reported bound of the optimum, and with a
     /// symmetric conversion range the bound is at most (d−1)/2.
     #[test]
     fn certified_approx_within_bound(inst in instance(20, 4)) {
         let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
         let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
         let mask = mask_of(&inst);
-        let out = approx_schedule_checked(&conv, &rv, &mask).unwrap();
+        let out = approx_schedule(&conv, &rv, &mask).unwrap();
+        certify(&conv, &rv, &mask, &out.assignments, Some(out.bound)).unwrap();
         // Corollary 1: with a symmetric range and every channel free, the
         // chosen break achieves the (d−1)/2 bound. (Occupied channels can
         // force a worse break, which Theorem 3 still covers via `bound`.)
@@ -287,7 +294,7 @@ proptest! {
         let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
         let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
         let mask = mask_of(&inst);
-        let mut a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let mut a = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap();
         certify_assignments(&conv, &rv, &mask, &a).unwrap();
         if let Some(dropped) = a.pop() {
             let err = certify_assignments(&conv, &rv, &mask, &a).unwrap_err();

@@ -1,8 +1,8 @@
 //! Warm-start differential battery: over coherent slot *sequences* the
 //! stateful [`FiberScheduler::schedule_slot`] path — which repairs the
 //! previous slot's matching instead of rescheduling from scratch — must
-//! grant exactly as many requests per slot as a from-scratch run, and the
-//! checked twin must be bit-identical to the unchecked one.
+//! grant exactly as many requests per slot as a from-scratch run, and every
+//! slot must certify against the bound it reports.
 //!
 //! Three properties:
 //!
@@ -11,10 +11,11 @@
 //!   cold `schedule_with_mask` on a throwaway scheduler *and* as the
 //!   Hopcroft–Karp oracle (the channel assignment itself may differ — repair
 //!   preserves maximality by Berge's lemma, not the assignment vector).
-//! * **Checked twin bit-identity** — `schedule_slot_checked` run over the
-//!   same sequence from a cloned scheduler produces identical stats *and*
-//!   identical assignments, slot for slot, so the release-mode certificate
-//!   twin can be swapped in anywhere without perturbing the warm state.
+//! * **Certified, arena-independent trajectory** — every slot's assignments
+//!   pass `verify::certify` against the reported bound, and a cloned
+//!   scheduler driven through a differently primed arena produces identical
+//!   stats *and* identical assignments, slot for slot, so the warm state
+//!   depends on the slot sequence alone.
 //! * **Accounting** — every slot lands in exactly one of the
 //!   repaired/fallback/cold buckets, and a high-coherence sequence actually
 //!   exercises the repair path.
@@ -24,6 +25,7 @@
 use proptest::prelude::*;
 
 use wdm_core::algorithms::hopcroft_karp_in;
+use wdm_core::verify::certify;
 use wdm_core::{
     ChannelMask, Conversion, FiberScheduler, Policy, RequestGraph, RequestVector, ScratchArena,
     SlotPath,
@@ -178,13 +180,16 @@ proptest! {
         let _ = assert_warm_matches_cold(&seq, conv, Policy::Auto);
     }
 
-    /// The checked twin replays the identical warm trajectory: same stats,
-    /// same assignments, same final warm counters.
+    /// Every slot of the warm trajectory certifies against its reported
+    /// bound, and a clone fed through a differently primed arena replays it
+    /// exactly: same stats, same assignments, same final warm counters.
     #[test]
-    fn checked_twin_is_bit_identical(seq in coherent_sequence(10, 3, 96, 0..4)) {
+    fn warm_trajectory_certifies_and_ignores_arena_priming(
+        seq in coherent_sequence(10, 3, 96, 0..4),
+    ) {
         let conv = Conversion::circular(seq.k, seq.e, seq.f).unwrap();
         let mut plain = FiberScheduler::new(conv, Policy::Auto);
-        let mut checked = plain.clone();
+        let mut replay = plain.clone();
         let mut arena_p = ScratchArena::for_k(seq.k);
         let mut arena_c = ScratchArena::new(); // different priming must not matter
         let mut counts = seq.counts.clone();
@@ -194,7 +199,8 @@ proptest! {
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::from_flags(free.clone()).unwrap();
             let sp = plain.schedule_slot(&rv, &mask, &mut arena_p).unwrap();
-            let sc = checked.schedule_slot_checked(&rv, &mask, &mut arena_c).unwrap();
+            certify(&conv, &rv, &mask, arena_p.assignments(), sp.approx_bound).unwrap();
+            let sc = replay.schedule_slot(&rv, &mask, &mut arena_c).unwrap();
             prop_assert_eq!(sp, sc, "slot {}: stats diverged", slot);
             prop_assert_eq!(
                 &arena_p.assignments().to_vec(),
@@ -203,7 +209,7 @@ proptest! {
                 slot
             );
         }
-        prop_assert_eq!(plain.warm_stats(), checked.warm_stats());
+        prop_assert_eq!(plain.warm_stats(), replay.warm_stats());
     }
 
     /// A frozen instance (no perturbations at all) repairs every slot after

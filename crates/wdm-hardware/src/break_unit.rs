@@ -187,7 +187,7 @@ mod tests {
 
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
-    use wdm_core::algorithms::{break_fa_schedule, validate_assignments};
+    use wdm_core::algorithms::{validate_assignments, BreakFirstAvailable, Matcher};
 
     #[test]
     fn matches_software_bfa_on_paper_example() {
@@ -221,7 +221,7 @@ mod tests {
             let unit = BreakFaUnit::new(conv).unwrap();
             let hw = unit.run(&rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
-            let sw = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let sw = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap();
             assert_eq!(
                 hw.assignments.len(),
                 sw.len(),

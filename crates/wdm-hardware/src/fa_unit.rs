@@ -88,7 +88,7 @@ mod tests {
 
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
-    use wdm_core::algorithms::{fa_schedule, validate_assignments};
+    use wdm_core::algorithms::{validate_assignments, FirstAvailable, Matcher};
 
     fn sorted(mut a: Vec<Assignment>) -> Vec<(usize, usize)> {
         let mut v: Vec<(usize, usize)> = a.drain(..).map(|x| (x.input, x.output)).collect();
@@ -103,7 +103,7 @@ mod tests {
         let mask = ChannelMask::all_free(6);
         let unit = FirstAvailableUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
-        let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+        let sw = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         assert_eq!(sorted(hw.assignments.clone()), sorted(sw));
         assert_eq!(hw.cycles, 6, "exactly k cycles");
         validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
@@ -125,7 +125,7 @@ mod tests {
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
             let unit = FirstAvailableUnit::new(conv).unwrap();
             let hw = unit.run(&rv, &mask).unwrap();
-            let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+            let sw = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
             assert_eq!(
                 sorted(hw.assignments),
                 sorted(sw),

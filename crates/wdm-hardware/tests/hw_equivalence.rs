@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use wdm_core::algorithms::{break_fa_schedule, fa_schedule, validate_assignments};
+use wdm_core::algorithms::{validate_assignments, BreakFirstAvailable, FirstAvailable, Matcher};
 use wdm_core::{ChannelMask, Conversion, FiberScheduler, Policy, RequestVector};
 use wdm_hardware::{BreakFaUnit, FirstAvailableUnit, HardwareScheduler, RequestRegister};
 
@@ -60,7 +60,7 @@ proptest! {
         let mask = mask_of(&inst);
         let unit = FirstAvailableUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
-        let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+        let sw = FirstAvailable.schedule(&conv, &rv, &mask).unwrap();
         prop_assert_eq!(sorted(&hw.assignments), sorted(&sw));
         prop_assert_eq!(hw.cycles, inst.k);
     }
@@ -75,7 +75,7 @@ proptest! {
         let unit = BreakFaUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
-        let sw = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let sw = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap();
         prop_assert_eq!(hw.assignments.len(), sw.len());
     }
 

@@ -280,7 +280,7 @@ mod tests {
     fn limited_dp_matches_monte_carlo() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use wdm_core::algorithms::fa_schedule;
+        use wdm_core::algorithms::{FirstAvailable, Matcher};
         use wdm_core::{ChannelMask, Conversion, RequestVector};
 
         let (n, k, e, f) = (4usize, 8usize, 1usize, 1usize);
@@ -301,7 +301,7 @@ mod tests {
                         }
                     }
                 }
-                total += fa_schedule(&conv, &rv, &mask).unwrap().len();
+                total += FirstAvailable.schedule(&conv, &rv, &mask).unwrap().len();
             }
             let mc = total as f64 / trials as f64;
             assert!((mc - exact).abs() < 0.05, "p={p}: Monte Carlo {mc:.4} vs exact DP {exact:.4}");

@@ -32,7 +32,6 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
     walk_items(
         &source.file.items,
         false,
-        true,
         &mut |ctx: super::FnCtx<'_>| {
             if ctx.in_test {
                 return;
@@ -51,17 +50,11 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
         },
         &mut |_, _| {},
     );
-    walk_items(
-        &source.file.items,
-        false,
-        true,
-        &mut |_| {},
-        &mut |tokens: &TokenStream, gated: bool| {
-            if !gated {
-                scan_stream(source, tokens, out);
-            }
-        },
-    );
+    walk_items(&source.file.items, false, &mut |_| {}, &mut |tokens: &TokenStream, gated: bool| {
+        if !gated {
+            scan_stream(source, tokens, out);
+        }
+    });
     scan_unsafe_headers(&source.file.items, false, source, out);
 }
 

@@ -22,7 +22,6 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
     walk_items(
         &source.file.items,
         false,
-        true,
         &mut |ctx: super::FnCtx<'_>| {
             if ctx.in_test || has_truncation_allow(ctx.fun.attrs.as_slice()) {
                 return;
@@ -33,17 +32,11 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
         },
         &mut |_, _| {},
     );
-    walk_items(
-        &source.file.items,
-        false,
-        true,
-        &mut |_| {},
-        &mut |tokens: &TokenStream, gated: bool| {
-            if !gated {
-                scan_stream(source, tokens, out);
-            }
-        },
-    );
+    walk_items(&source.file.items, false, &mut |_| {}, &mut |tokens: &TokenStream, gated: bool| {
+        if !gated {
+            scan_stream(source, tokens, out);
+        }
+    });
 }
 
 /// Whether the function opts out via

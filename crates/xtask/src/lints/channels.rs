@@ -25,7 +25,6 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
     walk_items(
         &source.file.items,
         false,
-        true,
         &mut |ctx: FnCtx<'_>| {
             if ctx.in_test {
                 return;
@@ -36,17 +35,11 @@ pub fn check(source: &SourceFile, out: &mut Vec<Violation>) {
         },
         &mut |_, _| {},
     );
-    walk_items(
-        &source.file.items,
-        false,
-        true,
-        &mut |_| {},
-        &mut |tokens: &TokenStream, gated: bool| {
-            if !gated {
-                check_stream(tokens, source, out);
-            }
-        },
-    );
+    walk_items(&source.file.items, false, &mut |_| {}, &mut |tokens: &TokenStream, gated: bool| {
+        if !gated {
+            check_stream(tokens, source, out);
+        }
+    });
 }
 
 fn violation(source: &SourceFile, line: usize, what: &str, hint: &str) -> Violation {

@@ -5,20 +5,22 @@
 //! section of the source paper (or a named result from related work); the
 //! link must live on the entry point itself, as a doc line containing
 //! `Paper:` — e.g. `/// Paper: Theorem 2 (Break and First Available).` —
-//! so a reader landing on any `pub fn` can jump straight to the proof the
+//! so a reader landing on any algorithm `pub fn` or `Matcher` impl method
+//! ([`super::matcher::entry_points`]) can jump straight to the proof the
 //! implementation is tethered to. Doc comments reach this lint as real
 //! `#[doc = "…"]` attributes, so block docs and `#[doc]` spellings count
 //! too.
 
-use super::{twins, SourceFile, Violation};
+use super::matcher::EntryPoint;
+use super::Violation;
 
 /// The tag every algorithm entry point's docs must contain.
 pub const TAG: &str = "Paper:";
 
-/// Runs the doc-tag audit over the algorithm sources.
-pub fn check(sources: &[&SourceFile], out: &mut Vec<Violation>) {
-    for (source, ctx) in twins::entry_points(sources) {
-        let tagged = ctx
+/// Runs the doc-tag audit over the entry points.
+pub fn check(entry_points: &[EntryPoint<'_>], out: &mut Vec<Violation>) {
+    for entry in entry_points {
+        let tagged = entry
             .fun
             .attrs
             .iter()
@@ -27,12 +29,12 @@ pub fn check(sources: &[&SourceFile], out: &mut Vec<Violation>) {
         if !tagged {
             out.push(Violation::new(
                 "doc_tags",
-                source.path.clone(),
-                ctx.fun.span.line,
+                entry.source.path.clone(),
+                entry.fun.span.line,
                 format!(
                     "entry point `{}` has no `{TAG}` doc tag — cite the lemma/theorem/section \
                      it implements, e.g. `/// {TAG} Theorem 2.`",
-                    ctx.fun.sig.ident.text
+                    entry.name()
                 ),
             ));
         }
@@ -48,7 +50,7 @@ mod tests {
         let source =
             SourceFile { path: PathBuf::from("mem.rs"), file: syn::parse_file(src).unwrap() };
         let mut out = Vec::new();
-        super::check(&[&source], &mut out);
+        super::check(&crate::lints::matcher::entry_points(&[&source], &[&source]), &mut out);
         out.iter().map(|v| v.message.clone()).collect()
     }
 
@@ -64,6 +66,16 @@ mod tests {
         let msgs =
             audit("/// Finds a maximum matching.\n///\n/// Paper: Theorem 1.\npub fn solve() {}");
         assert!(msgs.is_empty());
+    }
+
+    #[test]
+    fn untagged_matcher_impl_is_flagged() {
+        let msgs = audit(
+            "impl Matcher for Tagged {\n    /// Paper: Theorem 1.\n    fn schedule_into(&self) {}\n}\n\
+             impl Matcher for Untagged {\n    /// Schedules.\n    fn schedule_into(&self) {}\n}",
+        );
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("`Untagged::schedule_into`"), "{}", msgs[0]);
     }
 
     #[test]

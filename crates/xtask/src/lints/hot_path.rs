@@ -4,9 +4,8 @@
 //! of calls, across every workspace crate.
 //!
 //! The v1 pass resolved one level of *same-file* callees, so an allocation
-//! two calls deep — or one module away — was invisible
-//! ([`shallow`](super::shallow) preserves that scanner test-only, with
-//! regression tests pinning exactly those false negatives). v2 is a thin
+//! two calls deep — or one module away — was invisible (the tests below pin
+//! both cases, and a trait-dispatched one). v2 is a thin
 //! query over the whole-workspace call graph ([`crate::callgraph`]): from
 //! every root, every reachable [`Property::Alloc`], [`Property::Lock`], and
 //! [`Property::Block`] offense is reported with the witnessing call chain.
@@ -113,8 +112,7 @@ mod tests {
 
     #[test]
     fn allocation_two_calls_deep_is_caught() {
-        // hot -> near -> far: the v1 one-level scanner missed this
-        // (see shallow.rs for the pinned false negative).
+        // hot -> near -> far: the v1 one-level scanner missed this.
         let src = "#[hot_path]\n\
                    fn hot() { near(); }\n\
                    fn near() { far(); }\n\
@@ -141,6 +139,40 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].file.ends_with("crates/wdm-core/src/mask.rs"));
         assert_eq!(out[0].root_fn.as_deref(), Some("wdm_serve::engine::run"));
+    }
+
+    #[test]
+    fn allocation_behind_trait_dispatch_on_a_field_is_caught() {
+        // The `FiberScheduler` shape: a hot method dispatches through the
+        // `Matcher` impl of its field-typed policy enum, which forwards to a
+        // scheduler unit type's impl that allocates.
+        let src = "pub struct Sched { policy: Policy }\n\
+                   pub enum Policy { Bfa, Idle }\n\
+                   pub struct Bfa;\n\
+                   impl Sched {\n\
+                       #[hot_path]\n\
+                       pub fn slot(&self, out: &mut Vec<u8>) { self.policy.schedule_into(out); }\n\
+                   }\n\
+                   impl Matcher for Policy {\n\
+                       fn schedule_into(&self, out: &mut Vec<u8>) {\n\
+                           match self { Policy::Bfa => Bfa.schedule_into(out), Policy::Idle => {} }\n\
+                       }\n\
+                   }\n\
+                   impl Matcher for Bfa {\n\
+                       fn schedule_into(&self, out: &mut Vec<u8>) { let v: Vec<u8> = Vec::new(); }\n\
+                   }";
+        let out = lint(&[("crates/wdm-core/src/scheduler.rs", src)]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 14);
+        assert_eq!(
+            out[0].chain,
+            vec![
+                "wdm_core::scheduler::Sched::slot",
+                "wdm_core::scheduler::Policy::schedule_into",
+                "wdm_core::scheduler::Bfa::schedule_into"
+            ],
+            "{out:?}"
+        );
     }
 
     #[test]

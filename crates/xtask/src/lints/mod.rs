@@ -11,7 +11,7 @@
 //! | module | lint |
 //! |--------|------|
 //! | [`banned`] | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`dbg!`/`unsafe` in library code |
-//! | [`twins`] | every public algorithm entry point has a `_checked` certificate twin |
+//! | [`matcher`] | no public algorithm function schedules outside the `Matcher` trait (audited exemptions) |
 //! | [`casts`] | no narrowing `as` casts (to sub-64-bit integers) in library code |
 //! | [`must_use`] | certificate/matching/slot result types and entry points are `#[must_use]` |
 //! | [`doc_tags`] | every algorithm entry point cites the paper (`Paper: …` doc tag) |
@@ -36,15 +36,11 @@ pub mod casts;
 pub mod channels;
 pub mod doc_tags;
 pub mod hot_path;
-#[cfg(test)]
-pub mod legacy;
 pub mod lock_order;
+pub mod matcher;
 pub mod must_use;
 pub mod panic_free;
 pub mod report;
-#[cfg(test)]
-pub mod shallow;
-pub mod twins;
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -72,7 +68,7 @@ pub const LIBRARY_CRATES: [&str; 9] = [
 /// the per-file lints but its functions are still reachability targets.
 pub const GRAPH_ONLY_CRATES: [&str; 1] = ["wdm-alloc-count"];
 
-/// Directory holding the algorithm modules checked by [`twins`],
+/// Directory holding the algorithm modules checked by [`matcher`],
 /// [`doc_tags`], and [`must_use`]'s entry-point rule.
 pub const ALGORITHMS_DIR: &str = "crates/wdm-core/src/algorithms";
 
@@ -84,7 +80,7 @@ pub struct LintConfig<'a> {
     pub crates: &'a [&'a str],
     /// Extra crates parsed only into the call graph.
     pub graph_only_crates: &'a [&'a str],
-    /// Root-relative algorithms directory for the twins/doc-tag audits.
+    /// Root-relative algorithms directory for the matcher/doc-tag audits.
     pub algorithms_dir: &'a str,
 }
 
@@ -191,8 +187,6 @@ pub struct FnCtx<'a> {
     pub fun: &'a syn::ItemFn,
     /// Inside a `#[cfg(test)]` module/item (lints exempting tests skip it).
     pub in_test: bool,
-    /// Directly at file or `mod` level (not an associated function).
-    pub at_module_level: bool,
 }
 
 /// Walks every function item (free and associated) in `items`, tracking
@@ -202,24 +196,23 @@ pub struct FnCtx<'a> {
 pub fn walk_items<'a>(
     items: &'a [syn::Item],
     in_test: bool,
-    at_module_level: bool,
     on_fn: &mut impl FnMut(FnCtx<'a>),
     on_other_tokens: &mut impl FnMut(&'a syn::TokenStream, bool),
 ) {
     for item in items {
         let gated = in_test || is_test_gated(item.attrs());
         match item {
-            syn::Item::Fn(f) => on_fn(FnCtx { fun: f, in_test: gated, at_module_level }),
+            syn::Item::Fn(f) => on_fn(FnCtx { fun: f, in_test: gated }),
             syn::Item::Mod(m) => {
                 if let Some(content) = &m.content {
-                    walk_items(content, gated, true, on_fn, on_other_tokens);
+                    walk_items(content, gated, on_fn, on_other_tokens);
                 }
             }
             syn::Item::Impl(i) => {
-                walk_items(&i.items, gated, false, on_fn, on_other_tokens);
+                walk_items(&i.items, gated, on_fn, on_other_tokens);
             }
             syn::Item::Trait(t) => {
-                walk_items(&t.items, gated, false, on_fn, on_other_tokens);
+                walk_items(&t.items, gated, on_fn, on_other_tokens);
             }
             syn::Item::Struct(_) => {}
             syn::Item::Other(o) => on_other_tokens(&o.tokens, gated),
@@ -365,14 +358,16 @@ pub fn run_passes(root: &Path, cfg: &LintConfig<'_>) -> LintRun {
     let algorithms_dir = root.join(cfg.algorithms_dir);
     let algorithms: Vec<&SourceFile> =
         sources.iter().filter(|s| s.path.starts_with(&algorithms_dir)).collect();
-    timed("twins", &mut violations, &mut passes, &mut |out| {
-        twins::check(&algorithms, out);
+    let all: Vec<&SourceFile> = sources.iter().collect();
+    let entry_points = matcher::entry_points(&algorithms, &all);
+    timed("matcher", &mut violations, &mut passes, &mut |out| {
+        matcher::check(&algorithms, out);
     });
     timed("doc_tags", &mut violations, &mut passes, &mut |out| {
-        doc_tags::check(&algorithms, out);
+        doc_tags::check(&entry_points, out);
     });
     timed("entry_must_use", &mut violations, &mut passes, &mut |out| {
-        must_use::check_entry_fns(&algorithms, out);
+        must_use::check_entry_fns(&entry_points, out);
     });
 
     violations.sort_by(|a, b| {
@@ -531,7 +526,7 @@ pub fn run(root: &Path, json: bool) -> bool {
     }
     if run.violations.is_empty() {
         say(&format!(
-            "lint: {} files clean across banned/twins/casts/must_use/doc_tags/hot_path/\
+            "lint: {} files clean across banned/matcher/casts/must_use/doc_tags/hot_path/\
              lock_order/panic_free/channels/suppression",
             run.files
         ));

@@ -8,13 +8,14 @@
 //!    always a bug. Their declarations must carry `#[must_use]`, which makes
 //!    rustc's `unused_must_use` (denied workspace-wide) flag every ignored
 //!    call site, wherever it is.
-//! 2. **Entry points**: every public algorithm entry point must be
-//!    must-use — via its own `#[must_use]` attribute, or by returning a type
-//!    that already is (`Result`, or a type from rule 1).
+//! 2. **Entry points**: every public algorithm entry point and `Matcher`
+//!    impl method must be must-use — via its own `#[must_use]` attribute, or
+//!    by returning a type that already is (`Result`, or a type from rule 1).
 
 use syn::Item;
 
-use super::{twins, SourceFile, Violation};
+use super::matcher::EntryPoint;
+use super::{SourceFile, Violation};
 
 /// Result types whose declarations must be `#[must_use]`.
 pub const MUST_USE_TYPES: [&str; 10] = [
@@ -64,26 +65,26 @@ fn check_types_in(items: &[Item], source: &SourceFile, out: &mut Vec<Violation>)
 }
 
 /// Rule 2: algorithm entry points.
-pub fn check_entry_fns(sources: &[&SourceFile], out: &mut Vec<Violation>) {
-    for (source, ctx) in twins::entry_points(sources) {
-        let output = &ctx.fun.sig.output;
+pub fn check_entry_fns(entry_points: &[EntryPoint<'_>], out: &mut Vec<Violation>) {
+    for entry in entry_points {
+        let output = &entry.fun.sig.output;
         // `-> ()` (no output tokens): an `_into`-style writer whose effect
         // is the out-parameter — `#[must_use]` would misfire on every call.
         if output.trees.is_empty() {
             continue;
         }
-        let explicit = ctx.fun.attrs.iter().any(|a| a.path == "must_use");
+        let explicit = entry.fun.attrs.iter().any(|a| a.path == "must_use");
         let inherent = output.contains_ident("Result")
             || MUST_USE_TYPES.iter().any(|t| output.contains_ident(t));
         if !explicit && !inherent {
             out.push(Violation::new(
                 "must_use",
-                source.path.clone(),
-                ctx.fun.span.line,
+                entry.source.path.clone(),
+                entry.fun.span.line,
                 format!(
                     "entry point `{}` returns a droppable schedule — add `#[must_use]` (its \
                      return type is neither `Result` nor a must-use result type)",
-                    ctx.fun.sig.ident.text
+                    entry.name()
                 ),
             ));
         }
@@ -123,11 +124,14 @@ mod tests {
              #[must_use]\npub fn b() -> Vec<Option<usize>> { vec![] }\n\
              pub fn c() -> Result<(), Error> { Ok(()) }\n\
              pub fn d(g: &G) -> Matching { Matching }\n\
-             pub fn e_into(out: &mut Vec<usize>) { out.clear(); }\n",
+             pub fn e_into(out: &mut Vec<usize>) { out.clear(); }\n\
+             impl Matcher for F { fn schedule_into(&self) -> Option<usize> { None } }\n\
+             impl Matcher for G { fn schedule_into(&self) -> Result<Option<usize>, E> { todo() } }\n",
         );
         let mut out = Vec::new();
-        super::check_entry_fns(&[&s], &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
+        super::check_entry_fns(&crate::lints::matcher::entry_points(&[&s], &[&s]), &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
         assert!(out[0].message.contains("`a`"));
+        assert!(out[1].message.contains("`F::schedule_into`"));
     }
 }

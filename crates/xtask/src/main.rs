@@ -8,7 +8,7 @@
 //! | `cargo xtask clippy` | the `[workspace.lints]` deny wall |
 //! | `cargo xtask build` | the workspace compiles, all targets |
 //! | `cargo xtask test` | the full test suite in the dev profile, so `debug_assert!`-gated `MatchingCertificate` checks execute |
-//! | `cargo xtask lint` | the `syn`-based AST lint pass over the whole-workspace call graph: banned constructs, `_checked`-twin audit, no narrowing casts, `#[must_use]` coverage, paper doc tags, and the interprocedural `hot_path`/`lock_order`/`panic_free` reachability lints (see `lints/`, `callgraph/`); `--json` emits the machine-readable report on stdout |
+//! | `cargo xtask lint` | the `syn`-based AST lint pass over the whole-workspace call graph: banned constructs, the `Matcher` audit (no algorithm schedules outside the trait), no narrowing casts, `#[must_use]` coverage, paper doc tags, and the interprocedural `hot_path`/`lock_order`/`panic_free` reachability lints (see `lints/`, `callgraph/`); `--json` emits the machine-readable report on stdout |
 //! | `cargo xtask check` | all of the above, in that order |
 //!
 //! The **soundness** prongs run the whole-program verifiers; each one probes
@@ -27,8 +27,8 @@
 //!
 //! The AST lint pass replaced the original line-based string scanner, which
 //! was blind to block comments, raw strings, `unsafe{` without a trailing
-//! space, and multi-line calls; `lints/legacy.rs` keeps the old scanner
-//! test-only with regression tests pinning exactly those failure modes.
+//! space, and multi-line calls; the `banned` pass's unit tests pin exactly
+//! those cases.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};

@@ -20,8 +20,8 @@ fn run_fixture(name: &str, crates: &[&str]) -> LintRun {
     let cfg = LintConfig {
         crates,
         graph_only_crates: &[],
-        // No algorithms directory in the fixtures: the twins/doc-tag
-        // audits see an empty set and stay quiet.
+        // No algorithms directory and no `Matcher` impls in the fixtures:
+        // the matcher/doc-tag audits see an empty set and stay quiet.
         algorithms_dir: "crates/none/src/algorithms",
     };
     run_passes(&fixture_root(name), &cfg)

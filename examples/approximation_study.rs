@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_optical::core::algorithms::{approx_schedule, break_fa_schedule};
+use wdm_optical::core::algorithms::{approx_schedule, BreakFirstAvailable, Matcher};
 use wdm_optical::core::{ChannelMask, Conversion, RequestVector};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let counts: Vec<usize> =
                 (0..k).map(|_| rng.gen_range(0..=3) * usize::from(rng.gen_bool(0.6))).collect();
             let rv = RequestVector::from_counts(counts)?;
-            let opt = break_fa_schedule(&conv, &rv, &mask)?.len();
+            let opt = BreakFirstAvailable::default().schedule(&conv, &rv, &mask)?.len();
             let out = approx_schedule(&conv, &rv, &mask)?;
             let approx = out.assignments.len();
             assert!(approx <= opt);

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_optical::core::algorithms::{break_fa_schedule, hopcroft_karp};
+use wdm_optical::core::algorithms::{hopcroft_karp, BreakFirstAvailable, Matcher};
 use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector};
 use wdm_optical::interconnect::{ConnectionRequest, Interconnect, InterconnectConfig};
 
@@ -44,7 +44,8 @@ fn part1_per_fiber_cost() {
 
         let start = Instant::now();
         for _ in 0..iters {
-            let grants = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+            let grants =
+                BreakFirstAvailable::default().schedule(&conv, &rv, &mask).expect("schedules");
             assert_eq!(grants.len(), k);
         }
         let bfa = start.elapsed().as_secs_f64() * 1e6 / iters as f64;

@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use wdm_optical::core::algorithms::{approx_schedule, break_fa_schedule};
+use wdm_optical::core::algorithms::{approx_schedule, BreakFirstAvailable, Matcher};
 use wdm_optical::core::{ChannelMask, Conversion, RequestVector};
 
 /// Iterates all count vectors of length `k` with entries `0..=max`.
@@ -32,7 +32,7 @@ fn gap_of_one_is_achievable_for_d3_and_never_exceeded() {
     let mut achieving: Option<Vec<usize>> = None;
     for counts in count_vectors(6, 2) {
         let rv = RequestVector::from_counts(counts.clone()).unwrap();
-        let optimal = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
+        let optimal = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap().len();
         let out = approx_schedule(&conv, &rv, &mask).unwrap();
         let gap = optimal - out.assignments.len();
         assert!(gap <= out.bound, "Theorem 3 violated at {counts:?}");
@@ -46,7 +46,7 @@ fn gap_of_one_is_achievable_for_d3_and_never_exceeded() {
     let counts = achieving.expect("found an achieving instance");
     // Re-verify the witness explicitly.
     let rv = RequestVector::from_counts(counts).unwrap();
-    let optimal = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
+    let optimal = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap().len();
     let approx = approx_schedule(&conv, &rv, &mask).unwrap().assignments.len();
     assert_eq!(optimal - approx, 1);
 }
@@ -87,7 +87,7 @@ fn approximation_quality_under_sustained_load() {
     for seed in 0..500usize {
         let counts: Vec<usize> = (0..k).map(|w| (seed * 7 + w * 13) % 3).collect();
         let rv = RequestVector::from_counts(counts).unwrap();
-        opt_total += break_fa_schedule(&conv, &rv, &mask).unwrap().len();
+        opt_total += BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap().len();
         approx_total += approx_schedule(&conv, &rv, &mask).unwrap().assignments.len();
     }
     assert!(approx_total <= opt_total);

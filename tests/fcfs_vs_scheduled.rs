@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_optical::core::algorithms::{break_fa_schedule, validate_assignments};
+use wdm_optical::core::algorithms::{validate_assignments, BreakFirstAvailable, Matcher};
 use wdm_optical::core::{ChannelMask, Conversion, RequestVector};
 use wdm_optical::interconnect::{ConnectionRequest, FcfsSwitch, Interconnect, InterconnectConfig};
 
@@ -36,7 +36,7 @@ fn fcfs_bounded_by_maximum_matching() {
         let rv =
             RequestVector::from_wavelengths(k, &reqs.iter().map(|&(_, w)| w).collect::<Vec<_>>())
                 .unwrap();
-        let optimal = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let optimal = BreakFirstAvailable::default().schedule(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &optimal).unwrap();
         let fcfs = fcfs_admit_slot(conv, &reqs);
         assert!(fcfs <= optimal.len());
@@ -58,7 +58,10 @@ fn fcfs_strictly_loses_on_a_crafted_pattern() {
     let reqs = [(0usize, 1usize), (1, 2), (2, 3), (3, 0), (4, 0)];
     let fcfs = fcfs_admit_slot(conv, &reqs);
     let rv = RequestVector::from_counts(vec![2, 1, 1, 1, 0, 0]).unwrap();
-    let optimal = break_fa_schedule(&conv, &rv, &ChannelMask::all_free(k)).unwrap().len();
+    let optimal = BreakFirstAvailable::default()
+        .schedule(&conv, &rv, &ChannelMask::all_free(k))
+        .unwrap()
+        .len();
     assert_eq!(optimal, 5);
     assert!(fcfs < optimal, "FCFS admitted {fcfs}, optimal admits {optimal}");
 }

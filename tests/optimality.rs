@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use wdm_optical::core::algorithms::{
-    approx_schedule, break_fa_schedule, fa_schedule, kuhn, validate_assignments,
+    approx_schedule, kuhn, validate_assignments, BreakFirstAvailable, FirstAvailable, Matcher,
 };
 use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector};
 
@@ -42,7 +42,7 @@ fn check_instance(conv: Conversion, counts: &[usize], mask: &ChannelMask) {
         )
     };
     if conv.is_circular() {
-        let a = break_fa_schedule(&conv, &rv, mask).unwrap();
+        let a = BreakFirstAvailable::default().schedule(&conv, &rv, mask).unwrap();
         validate_assignments(&conv, &rv, mask, &a).unwrap();
         assert_eq!(a.len(), optimal, "BFA suboptimal: {}", ctx());
         let out = approx_schedule(&conv, &rv, mask).unwrap();
@@ -50,7 +50,7 @@ fn check_instance(conv: Conversion, counts: &[usize], mask: &ChannelMask) {
         assert!(out.assignments.len() <= optimal, "approx overshoot: {}", ctx());
         assert!(out.assignments.len() + out.bound >= optimal, "Theorem 3 violated: {}", ctx());
     } else {
-        let a = fa_schedule(&conv, &rv, mask).unwrap();
+        let a = FirstAvailable.schedule(&conv, &rv, mask).unwrap();
         validate_assignments(&conv, &rv, mask, &a).unwrap();
         assert_eq!(a.len(), optimal, "FA suboptimal: {}", ctx());
     }
