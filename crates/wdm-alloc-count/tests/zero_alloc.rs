@@ -134,8 +134,9 @@ fn schedule_slot_steady_state_is_allocation_free() {
 
 /// The warm-start repair path — the one coherent traffic actually rides —
 /// must be allocation-free too: the repair buffers (`repair_matched`,
-/// `repair_parent`, `repair_entry`) live in the [`ScratchArena`] and are
-/// primed by `for_k`, so a repaired slot touches no heap at all.
+/// `repair_parent`, `repair_entry`, and the `repair_words` bitsets) live in
+/// the [`ScratchArena`] and are primed by `for_k`, so a repaired slot
+/// touches no heap at all — with multi-word masks (`k = 130`) as well.
 ///
 /// The flow state driving the coherent pattern is pre-allocated before the
 /// measurement window; only a couple of wavelengths change per slot, so the
@@ -154,6 +155,12 @@ fn warm_repair_slot_loop_is_allocation_free() {
             64,
             Conversion::symmetric_non_circular(64, 7).unwrap(),
             Policy::FirstAvailable,
+        ),
+        (
+            "warm/bfa-k130-multiword",
+            130,
+            Conversion::symmetric_circular(130, 9).unwrap(),
+            Policy::BreakFirstAvailable,
         ),
     ];
 

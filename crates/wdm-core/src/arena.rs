@@ -27,6 +27,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use crate::algorithms::repair::RepairWords;
 use crate::algorithms::Assignment;
 
 /// One wavelength's pending requests mapped onto the free-channel interval
@@ -83,12 +84,14 @@ pub struct ScratchArena {
     pub(crate) heap: BinaryHeap<Reverse<(usize, usize)>>,
     /// Warm-start repair: granted channels per wavelength so far.
     pub(crate) repair_matched: Vec<usize>,
-    /// Warm-start repair: BFS predecessor wavelength (`usize::MAX` =
-    /// unvisited, self = augmentation seed).
+    /// Warm-start repair: BFS predecessor wavelength (self = augmentation
+    /// seed).
     pub(crate) repair_parent: Vec<usize>,
     /// Warm-start repair: the channel through which the predecessor reached
     /// this wavelength (the channel it would steal on augmentation).
     pub(crate) repair_entry: Vec<usize>,
+    /// Warm-start repair: the owned-channel, seed, and search bitsets.
+    pub(crate) repair_words: RepairWords,
 }
 
 impl ScratchArena {
@@ -124,6 +127,7 @@ impl ScratchArena {
             repair_matched: Vec::with_capacity(k),
             repair_parent: Vec::with_capacity(k),
             repair_entry: Vec::with_capacity(k),
+            repair_words: RepairWords::for_k(k),
         }
     }
 

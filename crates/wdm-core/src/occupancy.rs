@@ -256,6 +256,12 @@ impl ChannelMask {
         self.k
     }
 
+    /// The packed backing words: bit `w % 64` of word `w / 64` is 1 iff
+    /// channel `w` is free, and the padding bits at positions `>= k` are 0.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Whether channel `w` is free: a single bit test.
     ///
     /// # Panics

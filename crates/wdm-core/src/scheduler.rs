@@ -435,11 +435,19 @@ impl FiberScheduler {
             Ok((approx_bound, path)) => {
                 self.debug_certify(requests, mask, &out, approx_bound);
                 self.warm_stats.record(path);
-                // Refresh the warm matching only when the next slot will
-                // actually consult it: during a fallback backoff the rebuild
-                // is pure overhead, and skipping it keeps backed-off slots
-                // at exactly the cold path's cost.
-                if self.warm_capable() && self.warm_skip == 0 {
+                // A repaired slot left `warm_owner` equal to `out` in place.
+                // Otherwise refresh the warm matching only when the next
+                // slot will actually consult it: during a fallback backoff
+                // the rebuild is pure overhead, and skipping it keeps
+                // backed-off slots at exactly the cold path's cost.
+                if path == SlotPath::Repaired {
+                    debug_assert!(
+                        self.warm_valid
+                            && self.warm_owner.iter().flatten().count() == out.len()
+                            && out.iter().all(|a| self.warm_owner[a.output] == Some(a.input)),
+                        "the repair leaves warm_owner equal to its schedule"
+                    );
+                } else if self.warm_capable() && self.warm_skip == 0 {
                     debug_assert!(
                         out.iter().all(|a| a.output < self.warm_owner.len()),
                         "certified assignments land on in-range output channels"
@@ -638,6 +646,56 @@ mod tests {
             .schedule_with_mask(&rv, &mask)
             .unwrap();
         assert_eq!(hk.granted(), bfa.granted());
+    }
+
+    /// After every repaired slot of a coherent sequence `warm_owner` equals
+    /// that slot's assignments: the array the rebuild that repaired slots
+    /// skip would have produced.
+    #[test]
+    fn repaired_slots_leave_warm_owner_equal_to_the_schedule() {
+        for (conv, policy) in [
+            (Conversion::symmetric_circular(64, 7).unwrap(), Policy::BreakFirstAvailable),
+            (Conversion::symmetric_non_circular(64, 7).unwrap(), Policy::FirstAvailable),
+            (Conversion::symmetric_circular(130, 9).unwrap(), Policy::Auto),
+        ] {
+            let k = conv.k();
+            let mut scheduler = FiberScheduler::new(conv, policy);
+            let mut arena = ScratchArena::for_k(k);
+            let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as usize
+            };
+            let mut counts: Vec<usize> = (0..k).map(|_| next() % 3).collect();
+            let mut free: Vec<bool> = (0..k).map(|_| next() % 8 != 0).collect();
+            let mut repaired = 0;
+            for _ in 0..400 {
+                // Two wavelengths redrawn per slot, and now and then a
+                // channel taken or released.
+                for _ in 0..2 {
+                    let w = next() % k;
+                    counts[w] = next() % 3;
+                }
+                if next() % 4 == 0 {
+                    let u = next() % k;
+                    free[u] = !free[u];
+                }
+                let rv = RequestVector::from_counts(counts.clone()).unwrap();
+                let mask = ChannelMask::from_flags(free.clone()).unwrap();
+                let stats = scheduler.schedule_slot(&rv, &mask, &mut arena).unwrap();
+                if stats.path == SlotPath::Repaired {
+                    repaired += 1;
+                    let mut expected = vec![None; k];
+                    for a in arena.assignments() {
+                        expected[a.output] = Some(a.input);
+                    }
+                    assert_eq!(scheduler.warm_owner, expected, "{policy:?}, k = {k}");
+                }
+            }
+            assert!(repaired > 300, "{policy:?}, k = {k}: only {repaired} of 400 slots repaired");
+        }
     }
 
     #[test]
