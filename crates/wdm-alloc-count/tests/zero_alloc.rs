@@ -10,6 +10,13 @@
 //! (rebuilding the request graph and running Hopcroft–Karp), which allocates
 //! by design. CI therefore runs this test with a plain `--release` pass in
 //! addition to the release-with-debug-assertions matrix leg.
+//!
+//! The cold Break-and-First-Available path works entirely in `ScratchArena`
+//! buffers that `for_k` primes: the slot tables (`outputs`, `prefix`, the
+//! `pending` request bitset, `rot_requests`), the break candidates (`items`,
+//! `candidate`), and, for the maximality check after a promotion with at
+//! least three free breaking channels still ahead, `match_right`,
+//! `repair_matched` and `repair_words`.
 
 #![allow(clippy::unwrap_used)]
 
@@ -117,6 +124,7 @@ fn schedule_slot_steady_state_is_allocation_free() {
     }
 
     warm_repair_slot_loop_is_allocation_free();
+    contended_cold_bfa_slot_loop_is_allocation_free();
     sweep_slot_loop_is_allocation_free();
     coherent_sweep_slot_loop_is_allocation_free();
     serve_slot_loop_is_allocation_free();
@@ -218,6 +226,81 @@ fn warm_repair_slot_loop_is_allocation_free() {
             "{name}: {events} heap allocations in {MEASURED} warm-repaired schedule_slot calls"
         );
     }
+}
+
+/// Incoherent traffic at high load on a three-word ring (`k = 130`,
+/// `d = 9`) keeps Break-and-First-Available on its cold path with
+/// contended breaks: every input channel of `N = 8` sources holds a packet
+/// for this fiber with probability 0.9/8 and a fifth of the channels are
+/// occupied, so the maximum matching often falls short of both the
+/// requests and the free channels. Those slots are the ones where the
+/// counting bound cannot end the break loop and, with `d = 9` leaving
+/// several free breaking channels ahead of a promotion, the maximality
+/// check runs; the test asserts that they are common and that the cold
+/// path carries the measured slots, then pins 0 allocations.
+///
+/// Called from the single `#[test]` above — the counters are process-global.
+fn contended_cold_bfa_slot_loop_is_allocation_free() {
+    const WARMUP: usize = 8;
+    const MEASURED: usize = 512;
+    const K: usize = 130;
+    const SOURCES: usize = 8;
+
+    let conv = Conversion::symmetric_circular(K, 9).unwrap();
+    let mut scheduler = FiberScheduler::new(conv, Policy::BreakFirstAvailable);
+    let mut arena = ScratchArena::for_k(K);
+    let mut rv = RequestVector::new(K);
+    let mut mask = ChannelMask::all_free(K);
+    let mut rng = Rng(0x5EED_0005);
+    let mut fill = |rv: &mut RequestVector, mask: &mut ChannelMask| {
+        rv.clear();
+        mask.reset_all_free();
+        for w in 0..K {
+            for _ in 0..SOURCES {
+                if rng.next() % 80 < 9 {
+                    rv.add(w).unwrap();
+                }
+            }
+            if rng.next() % 10 < 2 {
+                mask.set_occupied(w).unwrap();
+            }
+        }
+    };
+
+    for _ in 0..WARMUP {
+        fill(&mut rv, &mut mask);
+        // Warm-up: the stats are deliberately dropped.
+        let _ = scheduler.schedule_slot(&rv, &mask, &mut arena).unwrap();
+    }
+    let stats_before = scheduler.warm_stats();
+    let before = ALLOC.heap_events();
+    ALLOC.trap_backtraces(!cfg!(debug_assertions));
+    let mut short = 0usize;
+    for _ in 0..MEASURED {
+        fill(&mut rv, &mut mask);
+        let stats = scheduler.schedule_slot(&rv, &mask, &mut arena).unwrap();
+        short += usize::from(stats.granted < stats.requested.min(mask.free_count()));
+    }
+    ALLOC.trap_backtraces(false);
+    let events = ALLOC.heap_events() - before;
+
+    let stats = scheduler.warm_stats();
+    let from_scratch = (stats.cold + stats.fallback) - (stats_before.cold + stats_before.fallback);
+    assert!(
+        from_scratch as usize > MEASURED / 2,
+        "only {from_scratch}/{MEASURED} measured slots ran Break-and-First-Available from scratch"
+    );
+    assert!(
+        short > MEASURED / 4,
+        "only {short}/{MEASURED} measured slots were contended below the counting bound"
+    );
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert_eq!(
+        events, 0,
+        "cold/bfa-k130-contended: {events} heap allocations in {MEASURED} schedule_slot calls"
+    );
 }
 
 /// The persistent-worker sweep's *per-slot* loop must not allocate: running

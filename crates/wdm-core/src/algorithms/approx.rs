@@ -132,7 +132,8 @@ pub fn approx_schedule_into(
         unreachable!("w_i was chosen to have a free adjacent channel")
     };
 
-    single_break_into(conv, requests, mask, w_i, u, scratch, out);
+    // `δ(u) − 1` is `u`'s offset within `w_i`'s adjacency arc.
+    single_break_into(conv, requests, mask, w_i, delta - 1, scratch, out);
     out.push(Assignment { input: w_i, output: u });
     Ok(ApproxStats { delta, bound })
 }

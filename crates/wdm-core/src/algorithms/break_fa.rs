@@ -31,7 +31,18 @@ use crate::request::RequestVector;
 
 use super::first_available::{first_available, ConvexInstance};
 use super::full_range::FullRange;
+use super::repair::is_maximum;
 use super::{Assignment, Matcher};
+
+/// Bits per bitset word (the [`ChannelMask`] layout).
+const WORD_BITS: usize = 64;
+
+/// The fewest unevaluated free breaking channels for which the break loop
+/// checks a promoted incumbent for maximality. One check costs about as
+/// much as one or two breaks and ends the loop on a quarter to three
+/// quarters of its calls, so it pays only when it can skip about three
+/// breaks (EXPERIMENTS.md E23); below `d = 4` it never runs.
+const BERGE_MIN_AHEAD: usize = 3;
 
 /// How the breaking vertex `a_i` is chosen. Any choice yields a maximum
 /// matching (Lemma 4 holds for every vertex); the choice is exposed for the
@@ -91,8 +102,6 @@ impl Matcher for BreakFirstAvailable {
                 requires: "circular conversion (use First Available for non-circular)",
             });
         }
-        let k = conv.k();
-
         let Some(w_i) = choose_breaking_wavelength(conv, requests, mask, self.0) else {
             return Ok(None);
         };
@@ -102,7 +111,18 @@ impl Matcher for BreakFirstAvailable {
         // nonzero-request list. Each candidate re-derives its own rotation from
         // them by offset arithmetic instead of rebuilding O(k) state.
         build_break_tables(requests, mask, w_i, scratch);
-        let ScratchArena { items, outputs, prefix, rot_requests, candidate, .. } = scratch;
+        let ScratchArena {
+            items,
+            outputs,
+            prefix,
+            rot_requests,
+            candidate,
+            match_right,
+            repair_matched,
+            repair_words,
+            queue,
+            ..
+        } = scratch;
         let tables = SlotTables {
             w_i,
             outputs: outputs.as_slice(),
@@ -117,22 +137,43 @@ impl Matcher for BreakFirstAvailable {
 
         // `out` holds the best schedule so far; `candidate` is the workspace of
         // the break currently being evaluated. Swapping the two vecs promotes a
-        // better candidate without copying or allocating.
+        // better candidate without copying or allocating. The breaking channels
+        // are `w_i`'s adjacency arc `w_i − e, …, w_i + f` in ring order; `ahead`
+        // counts its free ones not yet evaluated.
+        let d = conv.degree();
+        let mut ahead = (0..d).filter(|&s| mask.is_free(arc_channel(conv, w_i, s))).count();
         let mut found = false;
-        for u in conv.adjacency(w_i).iter(k) {
+        for s in 0..d {
+            let u = arc_channel(conv, w_i, s);
             if !mask.is_free(u) {
                 continue;
             }
-            if found && out.len() >= best_possible {
-                // Promotion needs a strictly larger schedule; none exists.
-                break;
-            }
+            ahead -= 1;
             let beat = if found { Some(out.len()) } else { None };
-            if single_break_shared(conv, &tables, items, u, beat, candidate) {
+            if single_break_shared(conv, &tables, items, s, beat, candidate) {
                 candidate.push(Assignment { input: w_i, output: u });
                 if !found || candidate.len() > out.len() {
                     std::mem::swap(out, candidate);
                     found = true;
+                    // Promotion needs a strictly larger schedule, so once the
+                    // incumbent is maximum no later break can replace it: stop
+                    // at the counting bound, or when no augmenting path exists
+                    // (Berge) and enough breaks remain for the check to pay.
+                    if out.len() >= best_possible
+                        || ahead >= BERGE_MIN_AHEAD
+                            && is_maximum(
+                                conv,
+                                requests,
+                                mask,
+                                out,
+                                match_right,
+                                repair_matched,
+                                repair_words,
+                                queue,
+                            )
+                    {
+                        break;
+                    }
                 }
             }
         }
@@ -158,6 +199,16 @@ fn choose_breaking_wavelength(
     }
 }
 
+/// The channel at offset `s < d` of `w_i`'s adjacency arc: `w_i − e + s` on
+/// the ring, reduced by conditional subtraction (the sum is below `3k`).
+fn arc_channel(conv: &Conversion, w_i: usize, s: usize) -> usize {
+    let k = conv.k();
+    let mut u = w_i + k - conv.e() + s;
+    u -= k * usize::from(u >= k);
+    u -= k * usize::from(u >= k);
+    u
+}
+
 /// Per-slot tables shared by every break candidate of one slot — built once
 /// by [`build_break_tables`], read by [`single_break_shared`].
 struct SlotTables<'a> {
@@ -175,6 +226,11 @@ struct SlotTables<'a> {
 /// Fills `scratch.outputs`/`scratch.prefix`/`scratch.rot_requests` with the
 /// slot-wide tables of [`SlotTables`]. `O(k)` once per slot, allocation-free
 /// at steady state.
+///
+/// The prefix counts come from one branch-free pass over the mask words.
+/// The rotated request list walks a bitset of the nonzero counts (built in
+/// one branch-free pass) with `trailing_zeros`, from `w_i` to the end and
+/// then wrapped onto `0..w_i`, so only the pending wavelengths are visited.
 fn build_break_tables(
     requests: &RequestVector,
     mask: &ChannelMask,
@@ -183,25 +239,44 @@ fn build_break_tables(
 ) {
     mask.free_channels_into(&mut scratch.outputs);
     mask.free_prefix_counts_into(&mut scratch.prefix);
+    let counts = requests.counts();
+    let pending = &mut scratch.pending;
+    pending.clear();
+    pending.extend(counts.chunks(WORD_BITS).map(|chunk| {
+        chunk.iter().enumerate().fold(0u64, |word, (b, &c)| word | (u64::from(c > 0) << b))
+    }));
     let rot = &mut scratch.rot_requests;
     rot.clear();
     // Rotated left order: w_i, w_i+1, …, k−1, 0, …, w_i−1. The breaking
     // vertex is the first copy on w_i; the remaining copies stay (all
-    // `After` the breaking vertex in left order).
-    for (w, count) in requests.iter_nonzero().filter(|&(w, _)| w >= w_i) {
-        let count = if w == w_i { count - 1 } else { count };
-        if count > 0 {
-            rot.push((w, count));
+    // `After` the breaking vertex in left order). The word holding `w_i` is
+    // read twice: its bits from `w_i` up first, the ones below `w_i` last.
+    let split = w_i / WORD_BITS;
+    let from = u64::MAX << (w_i % WORD_BITS);
+    let upper = pending.iter().enumerate().skip(split);
+    let lower = pending.iter().enumerate().take(split + 1);
+    let walk = upper
+        .map(|(i, &word)| (i, if i == split { word & from } else { word }))
+        .chain(lower.map(|(i, &word)| (i, if i == split { word & !from } else { word })));
+    for (i, word) in walk {
+        let mut rest = word;
+        while rest != 0 {
+            let w = i * WORD_BITS + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let count = counts.get(w).copied().unwrap_or(0) - usize::from(w == w_i);
+            if count > 0 {
+                rot.push((w, count));
+            }
         }
-    }
-    for (w, count) in requests.iter_nonzero().filter(|&(w, _)| w < w_i) {
-        rot.push((w, count));
     }
 }
 
 /// Runs First Available on the reduced graph obtained by breaking at
 /// `(tables.w_i, u)` — without the breaking edge itself — and writes the
-/// granted assignments into `out`, returning `true`.
+/// granted assignments into `out`, returning `true`. The breaking channel
+/// `u` is the one at offset `s` of `w_i`'s adjacency arc ([`arc_channel`]),
+/// so the breaking edge's signed offset is `t = s − e`: it cuts `e + t = s`
+/// channels below `u` and `f − t = d − 1 − s` above it.
 ///
 /// The rotation for the break at `u` (channel order `u+1, …, u−1`, `u`
 /// removed) is re-derived from the shared ascending tables by offset
@@ -209,23 +284,28 @@ fn build_break_tables(
 /// prefix is `prefix[u+1+r] − prefix[u+1]` while `r` stays in the tail
 /// `u+1..k` and wraps onto `prefix[r − tail]` after it, and the `p`-th
 /// rotated free channel is `outputs[c_u+1+p]` (above `u`) or
-/// `outputs[p − after]` (wrapped). `O(requests + free channels)` per
-/// candidate, allocation-free at steady state.
+/// `outputs[p − after]` (wrapped). Ring distances are reduced by
+/// conditional subtraction (every operand is below `3k`), not `% k`.
+///
+/// First Available then runs as a merge over the items: by Lemma 2 their
+/// begins and ends are both monotone, so the earliest-deadline active item
+/// is always the first unfinished one, and item `j` takes the next
+/// `min(remaining_j, end_j + 1 − start)` positions from
+/// `start = max(cursor, begin_j)` — `O(items + grants)`, the grants copied
+/// as at most two contiguous runs of `outputs`. Allocation-free at steady
+/// state.
 ///
 /// When `beat` is `Some(best)`, the candidate is abandoned (returning
 /// `false`, `out` unspecified) as soon as its upper bound — grants so far
-/// plus requests still reachable plus the breaking edge — can no longer
-/// *strictly* exceed `best`. Since the caller only promotes strictly larger
-/// candidates, abandonment never changes the final schedule.
-#[wdm_attr::allow_reach(
-    panic_free,
-    reason = "the single unreachable! restates the caller's precondition: (w_i, u) is produced by the conversion adjacency iterator, so the signed offset always exists"
-)]
+/// plus the requests and positions still unspent — can no longer
+/// *strictly* exceed `best` with the breaking edge added. Since the caller
+/// only promotes strictly larger candidates, abandonment never changes the
+/// final schedule.
 fn single_break_shared(
     conv: &Conversion,
     tables: &SlotTables<'_>,
     items: &mut Vec<ScratchItem>,
-    u: usize,
+    s: usize,
     beat: Option<usize>,
     out: &mut Vec<Assignment>,
 ) -> bool {
@@ -233,6 +313,8 @@ fn single_break_shared(
     let d = conv.degree();
     let SlotTables { w_i, outputs, prefix, rot_requests } = *tables;
     let f_total = outputs.len();
+    let u = arc_channel(conv, w_i, s);
+    debug_assert!(s < d, "breaking offset inside the arc");
     debug_assert!(outputs.get(prefix[u]) == Some(&u), "breaking channel must be free");
     out.clear();
 
@@ -248,42 +330,45 @@ fn single_break_shared(
             (prefix[k] - base) + prefix[r - tail]
         }
     };
-
-    // Breaking-edge offset `t = u − w_i` on the ring, in `[−e, f]`; shared
-    // by every item's span derivation below.
-    let Some(t) = conv.signed_offset(w_i, u) else {
-        unreachable!("breaking edge ({w_i}, {u}) must be conversion-feasible")
-    };
-    let (e, f) = (conv.e() as isize, conv.f() as isize);
+    // The breaking edge's reach below and above `u`: `e + t` and `f − t`.
+    let (below, above) = (s, d - 1 - s);
+    // The rotated start of a full adjacency `[w − e, w + f]` is
+    // `(w + full) mod k`; `full ∈ [1, 2k)` keeps the sum below `3k`.
+    let full = 2 * k - conv.e() - u - 1;
 
     items.clear();
     // Left vertices in the rotated order, pre-filtered to nonzero counts.
     // Each item's reduced span is derived directly in rotated coordinates
     // (position of channel `w` = `(w − u − 1) mod k`), specializing
-    // [`reduced_span`] case by case with the per-candidate `t` hoisted; the
-    // debug assertion below pins the specialization to the specification.
+    // [`crate::breaking::reduced_span`] case by case with the per-candidate
+    // offsets hoisted; the debug assertion below pins the specialization to
+    // the specification.
     let mut total = 0usize;
     for &(w, count) in rot_requests {
         let (r_start, len) = if w == w_i {
             // Remaining copies of `w_i` sit after the breaking vertex:
             // adjacency shrinks to `[u+1, w_i+f]`, rotated start 0.
-            (0, (f - t) as usize)
+            (0, above)
         } else {
             // Clockwise distance below w_i; `k − sm` is the distance above.
             // Both are ≥ 1 because `w ≠ w_i`.
-            let sm = (w_i + k - w) % k;
-            if (sm as isize) <= f - t {
+            let mut sm = w_i + k - w;
+            sm -= k * usize::from(sm >= k);
+            if sm <= above {
                 // `w ∈ [u−f, w_i−1]`: plus-side links past `u` are cut,
                 // adjacency `[w−e, u−1]` ends at rotated position k−2.
-                let len = (e + t) as usize + sm;
+                let len = below + sm;
                 (k - 1 - len, len)
-            } else if ((k - sm) as isize) <= e + t {
+            } else if k - sm <= below {
                 // `w ∈ [w_i+1, u+e]` (sp = k − sm): minus-side links before
                 // `u` are cut, adjacency `[u+1, w+f]` starts at rotation 0.
-                (0, (f - t) as usize + (k - sm))
+                (0, above + (k - sm))
             } else {
                 // `w ∉ [u−f, u+e]`: full adjacency `[w−e, w+f]`.
-                ((w + 2 * k - conv.e() - u - 1) % k, conv.degree())
+                let mut r = w + full;
+                r -= k * usize::from(r >= k);
+                r -= k * usize::from(r >= k);
+                (r, d)
             }
         };
         #[cfg(debug_assertions)]
@@ -322,66 +407,47 @@ fn single_break_shared(
         "reduced instance must have monotone endpoints (Lemma 2)"
     );
 
+    let positions = f_total - 1;
     if let Some(best) = beat {
-        if total.min(f_total - 1) < best {
+        if total.min(positions) < best {
             return false;
         }
     }
 
-    // First Available over the rotated free channels. Lemma 2's monotone
-    // endpoints make the active set a contiguous window `items[head..next]`
-    // — activation advances `next`, expiry and exhaustion advance `head`,
-    // and the earliest-deadline item is always `items[head]`. `potential` is
-    // an upper bound on further grants: the remaining counts of every item
-    // not yet known to be expired.
-    let mut head = 0usize;
-    let mut next = 0usize;
+    // First Available as a merge: the positions below `cursor` are granted
+    // or skipped, and `potential` bounds the grants still to come by the
+    // remaining counts of the items not yet reached.
+    let mut cursor = 0usize;
     let mut potential = total;
-    let mut p = 0usize;
-    while p < f_total - 1 {
-        if head == next {
-            // Nothing can be granted before the next item activates; the
-            // skipped positions change no state, so jumping is free.
-            match items.get(next) {
-                Some(item) if item.begin > p => {
-                    p = item.begin;
-                    if p >= f_total - 1 {
-                        break;
-                    }
-                }
-                Some(_) => {}
-                None => break,
+    for item in items.iter() {
+        potential -= item.remaining;
+        let start = cursor.max(item.begin);
+        if item.end >= start {
+            let stop = start + item.remaining.min(item.end + 1 - start);
+            // Positions below `after` lie above `u`, the rest wrapped.
+            let grant = |&output: &usize| Assignment { input: item.wavelength, output };
+            if start < after {
+                let run = c_u + 1 + start..c_u + 1 + stop.min(after);
+                out.extend(outputs[run].iter().map(grant));
             }
-        }
-        while next < items.len() && items[next].begin <= p {
-            next += 1;
-        }
-        while head < next && items[head].end < p {
-            potential -= items[head].remaining;
-            head += 1;
-        }
-        if head < next {
-            let out_w = if p < after { outputs[c_u + 1 + p] } else { outputs[p - after] };
-            out.push(Assignment { input: items[head].wavelength, output: out_w });
-            potential -= 1;
-            items[head].remaining -= 1;
-            if items[head].remaining == 0 {
-                head += 1;
+            if stop > after {
+                out.extend(outputs[start.max(after) - after..stop - after].iter().map(grant));
             }
+            cursor = stop;
         }
         if let Some(best) = beat {
-            if out.len() + potential < best {
+            if out.len() + potential.min(positions - cursor) < best {
                 return false;
             }
         }
-        p += 1;
     }
     true
 }
 
 /// Runs First Available on the reduced graph obtained by breaking at
-/// `(w_i, u)` — without the breaking edge itself — and writes the granted
-/// assignments into `out`. `O(k)`, allocation-free at steady state.
+/// `(w_i, u)`, `u` the free channel at offset `s` of `w_i`'s adjacency arc
+/// ([`arc_channel`]) — without the breaking edge itself — and writes the
+/// granted assignments into `out`. `O(k)`, allocation-free at steady state.
 ///
 /// Builds the per-slot tables for a single break; Break-and-FA builds them
 /// once and calls [`single_break_shared`] directly for all `d` candidates.
@@ -391,11 +457,11 @@ pub(crate) fn single_break_into(
     requests: &RequestVector,
     mask: &ChannelMask,
     w_i: usize,
-    u: usize,
+    s: usize,
     scratch: &mut ScratchArena,
     out: &mut Vec<Assignment>,
 ) {
-    debug_assert!(mask.is_free(u));
+    debug_assert!(mask.is_free(arc_channel(conv, w_i, s)));
     build_break_tables(requests, mask, w_i, scratch);
     let ScratchArena { items, outputs, prefix, rot_requests, .. } = scratch;
     let tables = SlotTables {
@@ -404,7 +470,7 @@ pub(crate) fn single_break_into(
         prefix: prefix.as_slice(),
         rot_requests: rot_requests.as_slice(),
     };
-    let completed = single_break_shared(conv, &tables, items, u, None, out);
+    let completed = single_break_shared(conv, &tables, items, s, None, out);
     debug_assert!(completed, "an unbounded candidate always runs to completion");
 }
 
@@ -730,6 +796,73 @@ mod tests {
             out
         }
 
+        /// The reference's breaking wavelength.
+        fn breaking_wavelength(
+            conv: &Conversion,
+            requests: &RequestVector,
+            mask: &ChannelMask,
+            choice: BreakChoice,
+        ) -> Option<usize> {
+            let k = conv.k();
+            let eligible = requests
+                .iter_nonzero()
+                .filter(|&(w, _)| conv.adjacency(w).iter(k).any(|u| mask.is_free(u)));
+            match choice {
+                BreakChoice::FirstRequest => eligible.map(|(w, _)| w).next(),
+                BreakChoice::DensestWavelength => eligible.max_by_key(|&(_, c)| c).map(|(w, _)| w),
+            }
+        }
+
+        /// Every break's candidate size (breaking edge included), in the
+        /// order Break-and-FA evaluates them, and the counting bound
+        /// `min(pending − 1, free − 1) + 1` no candidate can exceed. Empty
+        /// when nothing can be broken.
+        pub(super) fn break_sizes(
+            conv: &Conversion,
+            requests: &RequestVector,
+            mask: &ChannelMask,
+            choice: BreakChoice,
+        ) -> (Vec<usize>, usize) {
+            let Some(w_i) = breaking_wavelength(conv, requests, mask, choice) else {
+                return (Vec::new(), 0);
+            };
+            let sizes = conv
+                .adjacency(w_i)
+                .iter(conv.k())
+                .filter(|&u| mask.is_free(u))
+                .map(|u| single_break_reference(conv, requests, mask, w_i, u).len() + 1)
+                .collect();
+            (sizes, (requests.total() - 1).min(mask.free_count() - 1) + 1)
+        }
+
+        /// The single-break approximation over the reference break: the
+        /// first request with a free adjacent channel, broken at the free
+        /// adjacent channel with the smallest Theorem 3 bound (the first in
+        /// arc order on a tie). Returns the schedule, `δ(u)` and the bound.
+        pub(super) fn approx_reference(
+            conv: &Conversion,
+            requests: &RequestVector,
+            mask: &ChannelMask,
+        ) -> (Vec<Assignment>, usize, usize) {
+            let Some(w_i) = breaking_wavelength(conv, requests, mask, BreakChoice::FirstRequest)
+            else {
+                return (Vec::new(), 0, 0);
+            };
+            let (e, f) = (conv.e(), conv.f());
+            let mut best: Option<(usize, usize)> = None;
+            for (delta, u) in conv.adjacency(w_i).iter(conv.k()).enumerate() {
+                let bound = delta.max(e + f - delta);
+                if mask.is_free(u) && best.is_none_or(|(_, b)| bound < b) {
+                    best = Some((delta, bound));
+                }
+            }
+            let (delta, bound) = best.unwrap();
+            let u = conv.adjacency(w_i).iter(conv.k()).nth(delta).unwrap();
+            let mut out = single_break_reference(conv, requests, mask, w_i, u);
+            out.push(Assignment { input: w_i, output: u });
+            (out, delta + 1, bound)
+        }
+
         pub(super) fn break_fa_reference(
             conv: &Conversion,
             requests: &RequestVector,
@@ -745,14 +878,7 @@ mod tests {
             }
             assert_eq!(conv.kind(), ConversionKind::Circular, "reference covers circular only");
             let k = conv.k();
-            let eligible = requests
-                .iter_nonzero()
-                .filter(|&(w, _)| conv.adjacency(w).iter(k).any(|u| mask.is_free(u)));
-            let w_i = match choice {
-                BreakChoice::FirstRequest => eligible.map(|(w, _)| w).next(),
-                BreakChoice::DensestWavelength => eligible.max_by_key(|&(_, c)| c).map(|(w, _)| w),
-            };
-            let Some(w_i) = w_i else {
+            let Some(w_i) = breaking_wavelength(conv, requests, mask, choice) else {
                 return Ok(Vec::new());
             };
 
@@ -770,6 +896,79 @@ mod tests {
                 }
             }
             Ok(out)
+        }
+    }
+
+    /// One instance per regime of the Berge stop, each pinned by its
+    /// reference break sizes (breaking edge included, in evaluation order)
+    /// below the counting bound, so only the maximality check can end the
+    /// loop early: the first break is already maximum; only the last break
+    /// is; the maximum is first reached mid-loop with at least
+    /// [`BERGE_MIN_AHEAD`] free breaking channels ahead, where the check
+    /// runs; and with fewer, where it does not. The `k = 130` instances sit
+    /// across the ring's wrap, a multi-word mask with channels `8..122`
+    /// occupied.
+    #[test]
+    fn berge_stop_regimes_match_the_reference() {
+        // (k, d, nonzero counts, occupied channels, sizes, counting bound)
+        type Regime = (usize, usize, Vec<(usize, usize)>, Vec<usize>, Vec<usize>, usize);
+        let wrap = |hi: [usize; 6], lo: [usize; 6]| -> Vec<(usize, usize)> {
+            (124..130).zip(hi).chain((0..6).zip(lo)).collect()
+        };
+        let occupied = |extra: &[usize]| -> Vec<usize> { (8..122).chain(extra.to_vec()).collect() };
+        let cases: Vec<Regime> = vec![
+            (
+                16,
+                7,
+                vec![(0, 3), (1, 2), (3, 2), (5, 3), (12, 3)],
+                vec![0, 2, 5],
+                vec![12, 11, 10, 9, 8],
+                13,
+            ),
+            (
+                130,
+                7,
+                wrap([3, 1, 0, 2, 2, 3], [1, 0, 0, 1, 2, 0]),
+                occupied(&[122, 124, 126]),
+                vec![6, 7, 8, 9, 10, 11, 12],
+                13,
+            ),
+            (
+                130,
+                7,
+                wrap([3, 0, 3, 1, 3, 3], [1, 2, 1, 3, 0, 0]),
+                occupied(&[128]),
+                vec![12, 13, 14, 14, 14, 14],
+                15,
+            ),
+            (
+                130,
+                9,
+                wrap([0, 2, 2, 2, 1, 3], [1, 3, 0, 0, 0, 1]),
+                occupied(&[122, 3]),
+                vec![8, 9, 10, 11, 12, 13, 13, 13],
+                14,
+            ),
+        ];
+        for (k, d, nonzero, occupied, sizes, bound) in cases {
+            let conv = Conversion::symmetric_circular(k, d).unwrap();
+            let mut counts = vec![0; k];
+            for (w, c) in nonzero {
+                counts[w] = c;
+            }
+            let rv = RequestVector::from_counts(counts).unwrap();
+            let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
+            let choice = BreakChoice::FirstRequest;
+            assert_eq!(reference::break_sizes(&conv, &rv, &mask, choice), (sizes, bound), "k={k}");
+            let mut arena = ScratchArena::new();
+            for choice in [choice, BreakChoice::DensestWavelength] {
+                let mut fast = Vec::new();
+                BreakFirstAvailable(choice)
+                    .schedule_into(&conv, &rv, &mask, &mut arena, &mut fast)
+                    .unwrap();
+                let slow = reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
+                assert_eq!(fast, slow, "k={k} d={d} {choice:?}");
+            }
         }
     }
 
@@ -838,6 +1037,61 @@ mod tests {
                     let slow =
                         reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
                     prop_assert_eq!(&fast, &slow, "choice {:?}", choice);
+                }
+            }
+        }
+
+        /// Rings around one, two and three mask words, `d` up to 9, counts
+        /// `0..=d+2`, and a free-channel density drawn per case.
+        fn wide_instance() -> impl Strategy<Value = (Conversion, Vec<usize>, Vec<bool>)> {
+            const KS: [usize; 7] = [63, 64, 65, 127, 128, 129, 130];
+            const DENSITY: [f64; 5] = [0.3, 0.5, 0.7, 0.9, 1.0];
+            (0..KS.len(), 0usize..=8, 0usize..=8, 0..DENSITY.len()).prop_flat_map(|(i, e, f, j)| {
+                let (k, density) = (KS[i], DENSITY[j]);
+                let e = e.min(8 - f);
+                let conv = Conversion::circular(k, e, f).unwrap();
+                let d = conv.degree();
+                (
+                    Just(conv),
+                    proptest::collection::vec(0..=d + 2, k),
+                    proptest::collection::vec(proptest::bool::weighted(density), k),
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+            /// The same bit-identity on multi-word rings, for both
+            /// breaking-vertex policies and for the single-break
+            /// approximation (schedule, `δ(u)` and bound), over one arena
+            /// that every call leaves dirty for the next.
+            #[test]
+            fn fast_bfa_bit_identical_on_multiword_rings((conv, counts, free) in wide_instance()) {
+                let rv = RequestVector::from_counts(counts).unwrap();
+                let mask = ChannelMask::from_flags(free).unwrap();
+                let mut arena = ScratchArena::new();
+                let mut fast = Vec::new();
+                for choice in [
+                    BreakChoice::FirstRequest,
+                    BreakChoice::DensestWavelength,
+                    BreakChoice::FirstRequest,
+                ] {
+                    BreakFirstAvailable(choice)
+                        .schedule_into(&conv, &rv, &mask, &mut arena, &mut fast)
+                        .unwrap();
+                    let slow =
+                        reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
+                    prop_assert_eq!(&fast, &slow, "choice {:?}", choice);
+                }
+                let stats = crate::algorithms::approx_schedule_into(
+                    &conv, &rv, &mask, &mut arena, &mut fast,
+                )
+                .unwrap();
+                let (slow, delta, bound) = reference::approx_reference(&conv, &rv, &mask);
+                prop_assert_eq!(&fast, &slow);
+                if !slow.is_empty() {
+                    prop_assert_eq!((stats.delta, stats.bound), (delta, bound));
                 }
             }
         }

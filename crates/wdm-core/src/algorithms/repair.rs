@@ -261,6 +261,62 @@ pub fn repair_schedule_into(
     Ok(Some(RepairOutcome { survivors, augmentations, granted: out.len() }))
 }
 
+/// Whether `schedule`, a valid schedule of `requests` on `mask`'s free
+/// channels, is a maximum matching: the repair's word-level reachability
+/// check finds no augmenting path from a wavelength with an ungranted
+/// request to a free unowned channel, so none exists (Berge).
+///
+/// Loads the schedule into arena buffers: the channel owners
+/// (`ScratchArena::match_right`, written only at the channels `schedule`
+/// grants — the check reads no other entry), the per-wavelength grant
+/// counts (`repair_matched`) and the repair's bitsets (`repair_words`).
+/// The BFS `queue` (`ScratchArena::queue`) completes the repair state the
+/// check runs on; the check leaves it untouched. `O(k)` plus `O(log d)`
+/// word passes per alternating layer.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn is_maximum(
+    conv: &Conversion,
+    requests: &RequestVector,
+    mask: &ChannelMask,
+    schedule: &[Assignment],
+    owner: &mut Vec<Option<usize>>,
+    matched: &mut Vec<usize>,
+    bits: &mut RepairWords,
+    queue: &mut VecDeque<usize>,
+) -> bool {
+    let k = conv.k();
+    let free = mask.words();
+    owner.resize(k, None);
+    matched.clear();
+    matched.resize(k, 0);
+    bits.resize(free.len());
+    bits.owned.fill(0);
+    for a in schedule {
+        let word = bits.owned.get_mut(a.output / WORD_BITS);
+        if let (Some(slot), Some(m), Some(word)) =
+            (owner.get_mut(a.output), matched.get_mut(a.input), word)
+        {
+            *slot = Some(a.input);
+            *m += 1;
+            *word |= 1 << (a.output % WORD_BITS);
+        }
+    }
+    // The reachability check reads none of the ordered search's state.
+    let mut repair = Repair {
+        reach: Reach::new(conv),
+        counts: requests.counts(),
+        free,
+        owner,
+        matched,
+        bits,
+        parent: &mut [],
+        entry: &mut [],
+        queue,
+    };
+    repair.find_seeds();
+    !repair.path_exists()
+}
+
 /// The bits of word `i` inside the inclusive channel window `[lo, hi]`, for
 /// `lo / 64 <= i <= hi / 64`.
 fn window_mask(i: usize, lo: usize, hi: usize) -> u64 {

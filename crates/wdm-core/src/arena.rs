@@ -60,6 +60,10 @@ pub struct ScratchArena {
     pub(crate) outputs: Vec<usize>,
     /// Free-channel prefix counts (possibly rotated for a break).
     pub(crate) prefix: Vec<usize>,
+    /// Break-and-FA: the wavelengths with a pending request, as a bitset in
+    /// the [`crate::ChannelMask`] word layout, walked to build
+    /// `rot_requests`.
+    pub(crate) pending: Vec<u64>,
     /// Break-and-FA: nonzero-request wavelengths in rotated left order
     /// (starting at the breaking wavelength, its breaking copy removed).
     /// Built once per slot and shared by all `d` break candidates.
@@ -76,13 +80,15 @@ pub struct ScratchArena {
     pub(crate) visited: Vec<usize>,
     /// Left-side matching array (graph algorithms).
     pub(crate) match_left: Vec<Option<usize>>,
-    /// Right-side matching array (graph algorithms).
+    /// Right-side matching array (graph algorithms); Break-and-FA's
+    /// maximality check loads its incumbent's channel owners here.
     pub(crate) match_right: Vec<Option<usize>>,
     /// Glover: left vertices sorted by interval begin.
     pub(crate) by_begin: Vec<(usize, usize, usize)>,
     /// Glover: min-`END` priority queue of active left vertices.
     pub(crate) heap: BinaryHeap<Reverse<(usize, usize)>>,
-    /// Warm-start repair: granted channels per wavelength so far.
+    /// Warm-start repair (and Break-and-FA's maximality check): granted
+    /// channels per wavelength so far.
     pub(crate) repair_matched: Vec<usize>,
     /// Warm-start repair: BFS predecessor wavelength (self = augmentation
     /// seed).
@@ -90,7 +96,8 @@ pub struct ScratchArena {
     /// Warm-start repair: the channel through which the predecessor reached
     /// this wavelength (the channel it would steal on augmentation).
     pub(crate) repair_entry: Vec<usize>,
-    /// Warm-start repair: the owned-channel, seed, and search bitsets.
+    /// Warm-start repair (and Break-and-FA's maximality check): the
+    /// owned-channel, seed, and search bitsets.
     pub(crate) repair_words: RepairWords,
 }
 
@@ -114,6 +121,7 @@ impl ScratchArena {
             active: VecDeque::with_capacity(k),
             outputs: Vec::with_capacity(k),
             prefix: Vec::with_capacity(k + 1),
+            pending: Vec::with_capacity(k.div_ceil(64)),
             rot_requests: Vec::with_capacity(k),
             candidate: Vec::with_capacity(k + 1),
             assignments: Vec::with_capacity(k + 1),

@@ -351,17 +351,21 @@ impl ChannelMask {
     /// Fills `out` with the free-channel prefix counts (see
     /// [`ChannelMask::free_prefix_counts`]). Allocation-free once `out` has
     /// capacity `k + 1`.
+    ///
+    /// One branch-free pass: the buffer is sized to `k + 1` once and each
+    /// word's bits are shifted out into its 64-entry chunk, with no
+    /// per-entry capacity check.
     pub fn free_prefix_counts_into(&self, out: &mut Vec<usize>) {
-        out.clear();
+        out.resize(self.k + 1, 0);
+        let Some((first, rest)) = out.split_first_mut() else { return };
+        *first = 0;
         let mut acc = 0usize;
-        out.push(0);
-        for (i, &word) in self.words.iter().enumerate() {
-            let bits = (self.k - i * WORD_BITS).min(WORD_BITS);
+        for (chunk, &word) in rest.chunks_mut(WORD_BITS).zip(&self.words) {
             let mut w = word;
-            for _ in 0..bits {
+            for slot in chunk {
                 acc += (w & 1) as usize;
                 w >>= 1;
-                out.push(acc);
+                *slot = acc;
             }
         }
     }
