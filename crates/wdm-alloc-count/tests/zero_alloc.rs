@@ -17,6 +17,12 @@
 //! `candidate`), and, for the maximality check after a promotion with at
 //! least three free breaking channels still ahead, `match_right`,
 //! `repair_matched` and `repair_words`.
+//!
+//! Each output fiber's grant resolver sizes its per-wavelength source-fiber
+//! rows (`⌈n/64⌉` words each), its `n·k` candidate index and its pointers
+//! at construction; its granted-candidate bitset and its general loop's
+//! chain links grow to the largest call during warmup. The `n = 65`
+//! interconnect config keeps two-word rows in the measured window.
 
 #![allow(clippy::unwrap_used)]
 
@@ -125,6 +131,7 @@ fn schedule_slot_steady_state_is_allocation_free() {
 
     warm_repair_slot_loop_is_allocation_free();
     contended_cold_bfa_slot_loop_is_allocation_free();
+    two_word_interconnect_slot_loop_is_allocation_free();
     sweep_slot_loop_is_allocation_free();
     coherent_sweep_slot_loop_is_allocation_free();
     serve_slot_loop_is_allocation_free();
@@ -300,6 +307,84 @@ fn contended_cold_bfa_slot_loop_is_allocation_free() {
     assert_eq!(
         events, 0,
         "cold/bfa-k130-contended: {events} heap allocations in {MEASURED} schedule_slot calls"
+    );
+}
+
+/// The interconnect slot loop (`Interconnect::advance_slot_into`) at
+/// `n = 65`, where every fiber's resolver rows take two words and run the
+/// general pick loop: `k = 16`, circular `d = 3`, BFA, every input channel
+/// sending with probability 0.5 to a random fiber, holds of 1–3 slots.
+///
+/// Each fiber keeps its own buffers, and with 65 of them a random warmup
+/// leaves some below their high-water mark for long. Priming therefore
+/// sends one slot of packets from every input channel to each fiber in
+/// turn, which takes every per-fiber buffer to its largest call; after a
+/// short random warmup the measured slots must make 0 heap events, with
+/// grants from source fibers on both row words.
+///
+/// Called from the single `#[test]` above — the counters are process-global.
+fn two_word_interconnect_slot_loop_is_allocation_free() {
+    use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig, SlotResult};
+
+    const N: usize = 65;
+    const K: usize = 16;
+    const WARMUP: usize = 16;
+    const MEASURED: usize = 256;
+
+    let conv = Conversion::symmetric_circular(K, 3).unwrap();
+    let config =
+        InterconnectConfig::packet_switch(N, conv).with_policy(Policy::BreakFirstAvailable);
+    let mut ic = Interconnect::new(config).unwrap();
+    let mut rng = Rng(0x5EED_0006);
+    let mut requests: Vec<ConnectionRequest> = Vec::with_capacity(N * K);
+    let mut out = SlotResult::default();
+
+    for dst in 0..N {
+        requests.clear();
+        for fiber in 0..N {
+            requests.extend((0..K).map(|w| ConnectionRequest::packet(fiber, w, dst)));
+        }
+        ic.advance_slot_into(&requests, &mut out).unwrap();
+    }
+    let mut slot = |rng: &mut Rng, requests: &mut Vec<ConnectionRequest>, out: &mut SlotResult| {
+        requests.clear();
+        for fiber in 0..N {
+            for w in 0..K {
+                let r = rng.next();
+                if r.is_multiple_of(2) {
+                    let dst = (r >> 8) as usize % N;
+                    let hold = 1 + (r >> 32) as u32 % 3;
+                    requests.push(ConnectionRequest::burst(fiber, w, dst, hold));
+                }
+            }
+        }
+        ic.advance_slot_into(requests, out).unwrap();
+        let high = out.grants.iter().filter(|g| g.request.src_fiber >= 64).count();
+        (out.grants.len(), high)
+    };
+    for _ in 0..WARMUP {
+        let _ = slot(&mut rng, &mut requests, &mut out);
+    }
+
+    let (mut granted, mut high_word) = (0usize, 0usize);
+    let before = ALLOC.heap_events();
+    ALLOC.trap_backtraces(!cfg!(debug_assertions));
+    for _ in 0..MEASURED {
+        let (all, high) = slot(&mut rng, &mut requests, &mut out);
+        granted += all;
+        high_word += high;
+    }
+    ALLOC.trap_backtraces(false);
+    let events = ALLOC.heap_events() - before;
+
+    assert!(granted > 0, "interconnect/n65: workload must grant");
+    assert!(high_word > 0, "interconnect/n65: source fiber 64 must win on the second row word");
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert_eq!(
+        events, 0,
+        "interconnect/n65: {events} heap allocations in {MEASURED} advance_slot_into calls"
     );
 }
 

@@ -6,6 +6,14 @@
 //! module picks *which* requests win, with per-(output fiber, wavelength)
 //! round-robin pointers over the source fibers for long-run fairness
 //! (paper §III, following iSLIP [7][8]).
+//!
+//! A call runs in two passes. The index pass files each candidate under its
+//! input channel: per wavelength a row of source-fiber bits (one `u64`
+//! while `n ≤ 64`, `⌈n/64⌉` words beyond) and an `n·k` table from
+//! (wavelength, fiber) to the candidate. The pick pass serves the
+//! assignments: a grant on wavelength `w` takes the lowest fiber at or
+//! after `w`'s pointer, wrapping around, and the ungranted candidates are
+//! the zero bits of a granted-candidate bitset, walked in candidate order.
 
 use wdm_core::algorithms::Assignment;
 
@@ -13,31 +21,50 @@ use crate::connection::{ConnectionRequest, Grant};
 
 /// Round-robin resolver for one output fiber.
 ///
-/// The bucket/cursor scratch lives in the resolver so steady-state
-/// resolution allocates nothing — this runs once per fiber per slot.
+/// The rows, the index table and the pointers are sized at construction;
+/// the granted bitset and the general loop's chain links grow to the
+/// largest call seen and are reused, so steady-state resolution allocates
+/// nothing — this runs once per fiber per slot.
 #[derive(Debug, Clone)]
 pub struct GrantResolver {
     n: usize,
+    /// Words per row: `⌈n/64⌉`.
+    words: usize,
     /// One rotating pointer per input wavelength.
     pointers: Vec<usize>,
-    /// Per-wavelength candidate buckets, reused across slots.
-    buckets: Vec<Vec<usize>>,
-    /// Next unserved entry of each bucket, reused across slots.
-    next_in_bucket: Vec<usize>,
-    /// Which candidates were granted, reused across slots.
-    taken: Vec<bool>,
+    /// Per wavelength, the source fibers with a candidate not yet granted
+    /// this call, `words` words each.
+    rows: Vec<u64>,
+    /// `(wavelength, fiber)` → the candidate on that input channel; on the
+    /// general loop, the last candidate of its chain. Read only where the
+    /// wavelength's row has the fiber's bit.
+    index: Vec<u32>,
+    /// General loop: each chain is circular, so a chain's last candidate
+    /// links to its first and the chain stays in candidate order.
+    next: Vec<u32>,
+    /// General loop: the pointers as they stood at the start of the call.
+    start: Vec<usize>,
+    /// Which candidates this call granted, one bit each.
+    granted: Vec<u64>,
+    /// Whether this call needs the general loop.
+    general: bool,
 }
 
 impl GrantResolver {
     /// A resolver over `n` source fibers and `k` wavelengths, pointers at
     /// fiber 0.
     pub fn new(n: usize, k: usize) -> GrantResolver {
+        let words = n.div_ceil(64).max(1);
         GrantResolver {
             n,
+            words,
             pointers: vec![0; k],
-            buckets: vec![Vec::new(); k],
-            next_in_bucket: vec![0; k],
-            taken: Vec::new(),
+            rows: vec![0; k * words],
+            index: vec![0; n * k],
+            next: Vec::new(),
+            start: vec![0; k],
+            granted: Vec::new(),
+            general: false,
         }
     }
 
@@ -62,7 +89,7 @@ impl GrantResolver {
         let mut grants = Vec::with_capacity(assignments.len());
         let mut contention = Vec::new();
         self.resolve_into(assignments, candidates, &mut grants, &mut contention);
-        let leftovers = (0..candidates.len()).filter(|&i| !self.taken[i]).collect();
+        let leftovers = (0..candidates.len()).filter(|&i| !bit(&self.granted, i)).collect();
         (grants, leftovers)
     }
 
@@ -71,9 +98,9 @@ impl GrantResolver {
     /// ungranted candidates themselves, in candidate order). Allocation-free
     /// at steady state — this is the per-slot production path.
     ///
-    /// Panics if a candidate's `src_wavelength` is not below `k`; a
-    /// `src_fiber` of `n` or more is ranked by its offset from the pointer
-    /// mod `n`.
+    /// Panics if a candidate's `src_wavelength` is not below `k`, or if
+    /// there are more than `u32::MAX` candidates; a `src_fiber` of `n` or
+    /// more is ranked by its offset from the pointer mod `n`.
     pub fn resolve_into(
         &mut self,
         assignments: &[Assignment],
@@ -81,56 +108,204 @@ impl GrantResolver {
         grants: &mut Vec<Grant>,
         contention: &mut Vec<ConnectionRequest>,
     ) {
+        self.index_candidates(candidates, |_| {});
+        self.pick_grants(assignments, candidates, grants, contention, |_| {});
+    }
+
+    /// The index pass: files `candidates` by input channel for
+    /// [`Self::pick_grants`], handing each to `each` in order. A repeated
+    /// input channel, a source fiber `≥ n` or rows wider than one word send
+    /// the call to the general loop, whose chains this pass then builds.
+    pub(crate) fn index_candidates(
+        &mut self,
+        candidates: &[ConnectionRequest],
+        mut each: impl FnMut(&ConnectionRequest),
+    ) {
+        assert!(u32::try_from(candidates.len()).is_ok(), "candidate indices fit the u32 index");
+        self.granted.clear();
+        self.granted.resize(candidates.len().div_ceil(64), 0);
+        if candidates.is_empty() {
+            // The ReservedFirst pass makes such a call on every fiber
+            // without a due hold: leave the `k` rows alone.
+            return;
+        }
+        self.rows.fill(0);
+        let n = self.n;
+        let mut general = self.words > 1;
+        if general {
+            candidates.iter().for_each(&mut each);
+        } else {
+            for (i, c) in (0u32..).zip(candidates) {
+                each(c);
+                let (w, f) = (c.src_wavelength, c.src_fiber);
+                if f >= n {
+                    general = true;
+                    continue;
+                }
+                let row = &mut self.rows[w];
+                general |= *row >> f & 1 != 0;
+                *row |= 1 << f;
+                self.index[w * n + f] = i;
+            }
+        }
+        self.general = general;
+        if general {
+            self.chain(candidates);
+        }
+    }
+
+    /// Builds the general loop's rows and chains: each candidate is filed
+    /// under `(wavelength, fiber mod n)`, each chain in candidate order.
+    fn chain(&mut self, candidates: &[ConnectionRequest]) {
+        debug_assert!(self.general, "only the general loop reads chains");
+        let (n, words) = (self.n, self.words);
+        self.rows.fill(0);
+        self.next.clear();
+        self.next.resize(candidates.len(), 0);
+        self.start.copy_from_slice(&self.pointers);
+        for (i, c) in (0u32..).zip(candidates) {
+            let (w, f) = (c.src_wavelength, c.src_fiber % n);
+            let word = &mut self.rows[w * words + f / 64];
+            let slot = w * n + f;
+            if *word >> (f % 64) & 1 == 0 {
+                *word |= 1 << (f % 64);
+                self.next[i as usize] = i;
+            } else {
+                let last = self.index[slot] as usize;
+                self.next[i as usize] = self.next[last];
+                self.next[last] = i;
+            }
+            self.index[slot] = i;
+        }
+    }
+
+    /// The pick pass: grants the `assignments` from the candidates the
+    /// index pass filed, pushing each grant into `grants` and handing it to
+    /// `each`, then fills `contention` with the ungranted candidates in
+    /// candidate order. Both buffers are cleared first.
+    pub(crate) fn pick_grants(
+        &mut self,
+        assignments: &[Assignment],
+        candidates: &[ConnectionRequest],
+        grants: &mut Vec<Grant>,
+        contention: &mut Vec<ConnectionRequest>,
+        mut each: impl FnMut(&Grant),
+    ) {
         grants.clear();
         contention.clear();
         if candidates.is_empty() {
-            // Nothing to grant, so skip the `O(k)` bucket sweep: the
-            // ReservedFirst pass makes such a call on every fiber without a
-            // due hold.
             debug_assert!(assignments.is_empty(), "schedule granted requests that do not exist");
             return;
         }
-        // Bucket candidates by wavelength once and sort each bucket in
-        // round-robin order from the wavelength's current pointer. Because
-        // the pointer always advances to (winner + 1), successive grants on
-        // one wavelength take successive bucket entries, so serving each
-        // bucket front-to-back reproduces the per-grant
-        // min-(fiber − pointer) rule in O(C log C + A) instead of O(A·C).
-        for bucket in &mut self.buckets {
-            bucket.clear();
+        let mut grant = |request: ConnectionRequest, output_wavelength: usize| {
+            let grant = Grant { request, output_wavelength };
+            each(&grant);
+            grants.push(grant);
+        };
+        if self.general {
+            self.pick_general(assignments, candidates, &mut grant);
+        } else {
+            self.pick_word(assignments, candidates, &mut grant);
         }
-        for (i, c) in candidates.iter().enumerate() {
-            self.buckets[c.src_wavelength].push(i);
+        for (base, &word) in (0..).step_by(64).zip(&self.granted) {
+            let mut left = !word;
+            while left != 0 {
+                let Some(&c) = candidates.get(base + left.trailing_zeros() as usize) else {
+                    break;
+                };
+                contention.push(c);
+                left &= left - 1;
+            }
         }
-        for (w, bucket) in self.buckets.iter_mut().enumerate() {
-            let ptr = self.pointers[w];
-            bucket.sort_by_key(|&i| (candidates[i].src_fiber + self.n - ptr) % self.n);
-        }
-        self.next_in_bucket.fill(0);
-        self.taken.clear();
-        self.taken.resize(candidates.len(), false);
+    }
+
+    /// The lean loop: one-word rows, at most one candidate per input
+    /// channel, every fiber below `n`. Clearing a granted fiber's bit keeps
+    /// the search from the moved pointer equal to the oracle's search from
+    /// the pointer as it stood at the start of the call.
+    fn pick_word(
+        &mut self,
+        assignments: &[Assignment],
+        candidates: &[ConnectionRequest],
+        grant: &mut impl FnMut(ConnectionRequest, usize),
+    ) {
+        debug_assert!(self.words == 1 && !self.general, "the general loop serves this call");
+        let n = self.n;
         for a in assignments {
-            let cursor = &mut self.next_in_bucket[a.input];
-            let Some(&idx) = self.buckets[a.input].get(*cursor) else {
-                debug_assert!(false, "schedule granted more than requested on λ{}", a.input);
+            let w = a.input;
+            let row = &mut self.rows[w];
+            if *row == 0 {
+                debug_assert!(false, "schedule granted more than requested on λ{w}");
+                continue;
+            }
+            let ahead = *row & (u64::MAX << self.pointers[w]);
+            let f = (if ahead != 0 { ahead } else { *row }).trailing_zeros() as usize;
+            *row &= !(1 << f);
+            self.pointers[w] = if f + 1 < n { f + 1 } else { 0 };
+            let i = self.index[w * n + f] as usize;
+            self.granted[i / 64] |= 1 << (i % 64);
+            grant(candidates[i], a.output);
+        }
+    }
+
+    /// The general loop: multi-word rows and per-(wavelength, fiber) chains,
+    /// searched from the pointer as it stood at the start of the call — a
+    /// repeated input channel is served again before the search moves on.
+    fn pick_general(
+        &mut self,
+        assignments: &[Assignment],
+        candidates: &[ConnectionRequest],
+        grant: &mut impl FnMut(ConnectionRequest, usize),
+    ) {
+        debug_assert!(self.general, "the lean loop serves this call");
+        let (n, words) = (self.n, self.words);
+        for a in assignments {
+            let w = a.input;
+            let row = &mut self.rows[w * words..(w + 1) * words];
+            let Some(f) = first_at_or_after(row, self.start[w]) else {
+                debug_assert!(false, "schedule granted more than requested on λ{w}");
                 continue;
             };
-            *cursor += 1;
-            self.taken[idx] = true;
-            self.pointers[a.input] = (candidates[idx].src_fiber + 1) % self.n;
-            grants.push(Grant { request: candidates[idx], output_wavelength: a.output });
+            let last = self.index[w * n + f] as usize;
+            let first = self.next[last] as usize;
+            if first == last {
+                row[f / 64] &= !(1 << (f % 64));
+            } else {
+                self.next[last] = self.next[first];
+            }
+            self.granted[first / 64] |= 1 << (first % 64);
+            let request = candidates[first];
+            self.pointers[w] = (request.src_fiber + 1) % n;
+            grant(request, a.output);
         }
-        contention.extend(
-            candidates.iter().enumerate().filter(|&(i, _)| !self.taken[i]).map(|(_, c)| *c),
-        );
     }
 }
 
-/// The resolver as it was before calls without candidates returned early,
-/// kept verbatim as the test oracle: [`GrantResolver`] must produce the
-/// same grants, contention order and pointers over any sequence of calls.
+/// Whether bit `i` of `bits` is set.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64).is_some_and(|&word| word >> (i % 64) & 1 != 0)
+}
+
+/// The lowest set bit of `row` at or after bit `p`, wrapping around.
+fn first_at_or_after(row: &[u64], p: usize) -> Option<usize> {
+    let (pw, pb) = (p / 64, p % 64);
+    let ahead = row.get(pw).map_or(0, |&word| word & (u64::MAX << pb));
+    if ahead != 0 {
+        return Some(pw * 64 + ahead.trailing_zeros() as usize);
+    }
+    let later = row.iter().enumerate().skip(pw + 1);
+    later
+        .chain(row.iter().enumerate().take(pw + 1))
+        .find(|&(_, &word)| word != 0)
+        .map(|(j, &word)| j * 64 + word.trailing_zeros() as usize)
+}
+
+/// The sort-based resolver as it was before calls without candidates
+/// returned early, kept verbatim as the test oracle: [`GrantResolver`] must
+/// produce the same grants, contention order and pointers over any
+/// sequence of calls.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::*;
 
     /// Round-robin resolver for one output fiber.

@@ -466,7 +466,8 @@ impl Interconnect {
         //    Under ReservedFirst, activating reservations run in a
         //    dedicated first pass, so cell traffic only sees the leftover
         //    channels; the extra pass is skipped entirely on slots with no
-        //    due reservations (the common case — and the benched one).
+        //    due reservation. A workload that books reservations steadily
+        //    runs it on most slots: `engine_heavy` books two per slot.
         let hold = self.hold;
         let reserved_first =
             !self.due.is_empty() && self.preemption == PreemptionPolicy::ReservedFirst;

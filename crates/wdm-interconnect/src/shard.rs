@@ -6,6 +6,12 @@
 //! in-flight connection table, and the reused [`ScratchArena`] / request /
 //! mask buffers that keep the steady-state slot loop allocation-free.
 //!
+//! A non-disturb slot makes one pass over the candidates and one over the
+//! schedule's assignments. The resolver's index pass files each candidate
+//! by input channel and counts it into the request vector; after
+//! [`FiberScheduler::schedule_slot`], its pick pass turns each assignment
+//! into a grant and latches it into the active table at once.
+//!
 //! Both consumers of the paper's distributed architecture run on this one
 //! type: [`crate::Interconnect`] instantiates `N` units for the offline
 //! engine, and the `wdm-serve` daemon wraps one unit per destination-fiber
@@ -35,6 +41,18 @@ pub struct ActiveLink {
     pub output_wavelength: usize,
     /// Slots left including the current one.
     pub remaining: u32,
+}
+
+impl ActiveLink {
+    /// The connection a grant starts, held for the request's duration.
+    fn latch(g: &Grant) -> ActiveLink {
+        ActiveLink {
+            src_fiber: g.request.src_fiber,
+            src_wavelength: g.request.src_wavelength,
+            output_wavelength: g.output_wavelength,
+            remaining: g.request.duration,
+        }
+    }
 }
 
 /// Outcome of scheduling one fiber for one slot. The vectors are cleared
@@ -258,15 +276,10 @@ impl FiberUnit {
         }
         match hold {
             HoldPolicy::NonDisturb => self.schedule_non_disturb(candidates),
-            HoldPolicy::Rearrange => self.schedule_rearrange(candidates),
-        }
-        for g in &self.outcome.grants {
-            self.actives.push(ActiveLink {
-                src_fiber: g.request.src_fiber,
-                src_wavelength: g.request.src_wavelength,
-                output_wavelength: g.output_wavelength,
-                remaining: g.request.duration,
-            });
+            HoldPolicy::Rearrange => {
+                self.schedule_rearrange(candidates);
+                self.actives.extend(self.outcome.grants.iter().map(ActiveLink::latch));
+            }
         }
         &self.outcome
     }
@@ -276,9 +289,10 @@ impl FiberUnit {
     #[hot_path]
     fn schedule_non_disturb(&mut self, candidates: &[ConnectionRequest]) {
         self.requests.clear();
-        for c in candidates {
-            expect_validated(self.requests.add(c.src_wavelength), "validated request");
-        }
+        let requests = &mut self.requests;
+        self.resolver.index_candidates(candidates, |c| {
+            expect_validated(requests.add(c.src_wavelength), "validated request");
+        });
         self.mask.reset_all_free();
         for a in &self.actives {
             expect_validated(
@@ -294,11 +308,13 @@ impl FiberUnit {
             self.scheduler.schedule_slot(&self.requests, &self.mask, &mut self.arena),
             "validated dimensions",
         );
-        self.resolver.resolve_into(
+        let actives = &mut self.actives;
+        self.resolver.pick_grants(
             self.arena.assignments(),
             candidates,
             &mut self.outcome.grants,
             &mut self.outcome.contention,
+            |g| actives.push(ActiveLink::latch(g)),
         );
         self.outcome.rearranged = 0;
     }
@@ -541,6 +557,172 @@ mod tests {
     #[test]
     fn zero_fibers_rejected() {
         assert!(FiberUnit::new(0, conv(), Policy::Auto).is_err());
+    }
+
+    mod differential {
+        use super::*;
+        use crate::arbitration::reference;
+        use proptest::prelude::*;
+
+        /// The non-disturb pipeline as it ran before the fused passes: a
+        /// request vector counted from the candidates, the sort-based
+        /// oracle resolver, then a separate loop latching the grants.
+        struct Before {
+            scheduler: FiberScheduler,
+            resolver: reference::GrantResolver,
+            actives: Vec<ActiveLink>,
+            arena: ScratchArena,
+            requests: RequestVector,
+            mask: ChannelMask,
+            grants: Vec<Grant>,
+            contention: Vec<ConnectionRequest>,
+        }
+
+        impl Before {
+            fn new(n: usize, conversion: Conversion, policy: Policy) -> Before {
+                let k = conversion.k();
+                Before {
+                    scheduler: FiberScheduler::new(conversion, policy),
+                    resolver: reference::GrantResolver::new(n, k),
+                    actives: Vec::new(),
+                    arena: ScratchArena::for_k(k),
+                    requests: RequestVector::new(k),
+                    mask: ChannelMask::all_free(k),
+                    grants: Vec::new(),
+                    contention: Vec::new(),
+                }
+            }
+
+            fn schedule(&mut self, candidates: &[ConnectionRequest]) {
+                self.requests.clear();
+                for c in candidates {
+                    self.requests.add(c.src_wavelength).unwrap();
+                }
+                self.mask.reset_all_free();
+                for a in &self.actives {
+                    self.mask.set_occupied(a.output_wavelength).unwrap();
+                }
+                let _stats = self
+                    .scheduler
+                    .schedule_slot(&self.requests, &self.mask, &mut self.arena)
+                    .unwrap();
+                self.resolver.resolve_into(
+                    self.arena.assignments(),
+                    candidates,
+                    &mut self.grants,
+                    &mut self.contention,
+                );
+                for g in &self.grants {
+                    self.actives.push(ActiveLink {
+                        src_fiber: g.request.src_fiber,
+                        src_wavelength: g.request.src_wavelength,
+                        output_wavelength: g.output_wavelength,
+                        remaining: g.request.duration,
+                    });
+                }
+            }
+
+            fn age(&mut self) {
+                self.actives.retain_mut(|a| {
+                    a.remaining -= 1;
+                    a.remaining > 0
+                });
+            }
+        }
+
+        /// Draws below `bound` from a xorshift64* state.
+        fn draw(state: &mut u64, bound: usize) -> usize {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize % bound
+        }
+
+        /// Up to `max` candidates on `n` fibers and `k` wavelengths, holding
+        /// 1–4 slots: a quarter repeat an earlier candidate's input channel
+        /// and one in sixteen of the others come from a fiber in `n..2n`.
+        fn candidates(state: &mut u64, n: usize, k: usize, max: usize) -> Vec<ConnectionRequest> {
+            let len = draw(state, max + 1);
+            let mut out: Vec<ConnectionRequest> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let (fiber, w) = match out.len() {
+                    m if m > 0 && draw(state, 4) == 0 => {
+                        let c = out[draw(state, m)];
+                        (c.src_fiber, c.src_wavelength)
+                    }
+                    _ if draw(state, 16) == 0 => (n + draw(state, n), draw(state, k)),
+                    _ => (draw(state, n), draw(state, k)),
+                };
+                let hold = 1 + u32::try_from(draw(state, 4)).unwrap();
+                out.push(ConnectionRequest::burst(fiber, w, 0, hold));
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+            /// Over multi-slot sequences — holds occupying channels across
+            /// slots, a ReservedFirst-style small call before each slot's
+            /// main call, empty calls, repeated input channels and fibers
+            /// `≥ n` — the fused index → `schedule_slot` → pick-and-latch
+            /// path matches the pre-change pipeline after every call: the
+            /// same grants, contention order, active table and pointers.
+            #[test]
+            fn fused_passes_match_the_separate_pipeline(
+                (n, k, reach, policy, seed, slots) in (
+                    0usize..6,
+                    1usize..=9,
+                    0usize..4,
+                    0usize..3,
+                    0u64..u64::MAX,
+                    1usize..10,
+                )
+                    .prop_map(|(i, k, reach, policy, seed, slots)| {
+                        ([1, 2, 8, 64, 65, 130][i], k, reach, policy, seed, slots)
+                    })
+            ) {
+                let e = reach.min((k - 1) / 2);
+                let f = reach.min(k - 1 - e);
+                let (conversion, policy) = match policy {
+                    0 => (Conversion::circular(k, e, f).unwrap(), Policy::BreakFirstAvailable),
+                    1 => (Conversion::non_circular(k, e, f).unwrap(), Policy::FirstAvailable),
+                    _ => (Conversion::circular(k, e, f).unwrap(), Policy::Auto),
+                };
+                let mut unit = FiberUnit::new(n, conversion, policy).unwrap();
+                let mut before = Before::new(n, conversion, policy);
+                let mut state = seed | 1;
+                for slot in 0..slots {
+                    unit.age();
+                    before.age();
+                    let first = candidates(&mut state, n, k, 3);
+                    let main = candidates(&mut state, n, k, 2 * k + 4);
+                    for (call, batch) in [(0, &first), (1, &main)] {
+                        let outcome = unit.schedule(HoldPolicy::NonDisturb, batch);
+                        before.schedule(batch);
+                        prop_assert_eq!(outcome.grants(), &before.grants[..], "slot {} call {}", slot, call);
+                        prop_assert_eq!(
+                            outcome.contention(),
+                            &before.contention[..],
+                            "slot {} call {}",
+                            slot,
+                            call
+                        );
+                        prop_assert_eq!(unit.actives(), &before.actives[..], "slot {} call {}", slot, call);
+                        for w in 0..k {
+                            prop_assert_eq!(
+                                unit.resolver.pointer(w),
+                                before.resolver.pointer(w),
+                                "slot {} call {} λ{}",
+                                slot,
+                                call,
+                                w
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

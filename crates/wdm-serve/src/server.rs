@@ -5,8 +5,9 @@
 //! and §12):
 //!
 //! * **acceptor** — polls a non-blocking listener, assigns connection ids,
-//!   registers the write half with the results thread, and spawns one
-//!   **reader** thread per connection;
+//!   registers the write half with the results thread, spawns one
+//!   **reader** thread per connection, and joins each reader once it has
+//!   exited, so it holds a handle per open connection, not per accepted one;
 //! * **readers** — run the HELLO handshake, then forward SUBMIT requests
 //!   into a *bounded* intake channel (a blocking send is the backpressure:
 //!   a flooding client stalls its own reader, never the daemon's memory);
@@ -32,6 +33,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wdm_sim::trace::SessionTrace;
@@ -295,8 +297,9 @@ impl Server {
         // every socket — unblocking the readers), join the results writer,
         // join the readers, and only then drop the intake receiver.
         stop_accepting.raise();
-        let reader_handles: Vec<std::thread::JoinHandle<()>> = acceptor.join().unwrap_or_default();
-        report.connections = reader_handles.len() as u64;
+        let (accepted, reader_handles): (u64, Vec<JoinHandle<()>>) =
+            acceptor.join().unwrap_or_default();
+        report.connections = accepted;
         // A failed Finish send means the results thread already exited —
         // it only does that early by panicking, which the join surfaces.
         let finish_sent = out_tx.send(OutEvent::Finish).is_ok();
@@ -376,20 +379,24 @@ fn handle_in(
     Ok(())
 }
 
-/// Accepts connections until told to stop; returns the reader handles so
-/// the coordinator can join them after the sockets are shut down.
+/// Accepts connections until told to stop; returns how many readers it
+/// started and the handles of those still running, so the coordinator can
+/// join them after the sockets are shut down. Readers that exit earlier
+/// are joined as the loop goes.
 fn acceptor_loop(
     listener: &TcpListener,
     stop: &StopFlag,
     in_tx: &Sender<InEvent>,
     out_tx: &Sender<OutEvent>,
-) -> Vec<std::thread::JoinHandle<()>> {
+) -> (u64, Vec<JoinHandle<()>>) {
     let mut handles = Vec::new();
+    let mut accepted: u64 = 0;
     if listener.set_nonblocking(true).is_err() {
-        return handles;
+        return (accepted, handles);
     }
     let mut next_conn: u64 = 0;
     while !stop.is_raised() {
+        reap_finished(&mut handles);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let conn = next_conn;
@@ -407,6 +414,7 @@ fn acceptor_loop(
                 handles.push(std::thread::spawn(move || {
                     reader_loop(conn, stream, &in_tx, &out_tx);
                 }));
+                accepted += 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -414,7 +422,23 @@ fn acceptor_loop(
             Err(_) => break,
         }
     }
-    handles
+    (accepted, handles)
+}
+
+/// Joins and drops the handles whose thread has exited; returns how many.
+/// A reader that panicked already closed its connection, so its join
+/// result is not an error of the daemon's.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) -> usize {
+    let before = handles.len();
+    let mut i = 0;
+    while let Some(h) = handles.get(i) {
+        if h.is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    before - handles.len()
 }
 
 /// One connection's read side: HELLO handshake, then SUBMIT/SHUTDOWN until
@@ -648,5 +672,73 @@ fn close_conn(writers: &mut [Option<ConnWriter>], conn: u64) {
         // Best effort: the connection closes whether or not the tail lands.
         let _ = w.write_out();
         let _ = w.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    use wdm_core::{Conversion, Policy};
+
+    use super::*;
+    use crate::Client;
+
+    /// Reaps until `handles` is down to `left`, failing after ten seconds.
+    fn reap_until(handles: &mut Vec<JoinHandle<()>>, left: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut reaped = 0;
+        while handles.len() > left {
+            assert!(Instant::now() < deadline, "{} handles never finished", handles.len() - left);
+            reaped += reap_finished(handles);
+            std::thread::yield_now();
+        }
+        reaped
+    }
+
+    #[test]
+    fn reaping_joins_exited_threads_and_keeps_running_ones() {
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut handles = vec![std::thread::spawn(move || {
+            let _ = release_rx.recv();
+        })];
+        handles.extend((0..3).map(|_| std::thread::spawn(|| {})));
+        // The blocked thread cannot finish before its release, so exactly
+        // the three that returned at once are reaped.
+        assert_eq!(reap_until(&mut handles, 1), 3);
+        assert_eq!(reap_finished(&mut handles), 0);
+        assert_eq!(handles.len(), 1);
+        release_tx.send(()).unwrap();
+        assert_eq!(reap_until(&mut handles, 0), 1);
+        assert_eq!(reap_finished(&mut Vec::new()), 0);
+    }
+
+    #[test]
+    fn report_counts_every_connection_accepted_in_turn() {
+        let config = ServerConfig {
+            engine: EngineConfig::new(
+                2,
+                Conversion::symmetric_circular(8, 3).unwrap(),
+                Policy::Auto,
+            ),
+            slot_period: Duration::ZERO,
+            max_slots: None,
+            scenario: None,
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().to_string();
+        let server_thread = std::thread::spawn(move || server.run());
+        // Each client completes the handshake, then closes; its reader
+        // exits and the acceptor joins it long before shutdown.
+        for _ in 0..32 {
+            drop(Client::connect(&addr).unwrap());
+        }
+        let mut last = Client::connect(&addr).unwrap();
+        last.send_shutdown().unwrap();
+        while last.next_frame().is_ok() {}
+        let report = server_thread.join().unwrap().unwrap();
+        assert_eq!(report.connections, 33);
+        assert_eq!(report.slots, 0);
     }
 }
