@@ -138,6 +138,7 @@ fn schedule_slot_steady_state_is_allocation_free() {
     serve_coherent_slot_loop_is_allocation_free();
     serve_reservation_slot_loop_is_allocation_free();
     serve_scenario_slot_loop_is_allocation_free();
+    fixed_layout_frames_decode_without_allocating();
 
     // Sanity-check the counter itself: a deliberate allocation must be seen
     // (done last so it cannot pollute the measurement windows above).
@@ -1079,5 +1080,64 @@ on_disruption = true
     assert_eq!(
         events, 0,
         "scenario pin: {events} heap allocations in {MEASURED} disrupted daemon slots"
+    );
+}
+
+/// Every fixed-layout frame decodes from the stack buffer of
+/// `protocol::read_frame`, so a client reading a slot's GRANT, DENY,
+/// RESERVE_ACK and SLOT_COMPLETE stream — and a daemon reader taking
+/// HELLO, RESERVE, RELEASE and SHUTDOWN — touches no heap. The wire bytes
+/// are encoded before the window; the window decodes them all. Unlike the
+/// slot loops above, the decoder runs no certificate, so this holds in
+/// every build.
+///
+/// Called from the single `#[test]` above — the counters are process-global.
+fn fixed_layout_frames_decode_without_allocating() {
+    use wdm_serve::protocol::{read_frame, write_frame, ReserveRequest};
+    use wdm_serve::{DenyReason, Frame, PROTOCOL_VERSION};
+
+    let request = ReserveRequest {
+        id: 9,
+        src_fiber: 1,
+        src_wavelength: 2,
+        dst_fiber: 3,
+        start_in: 4,
+        duration: 5,
+    };
+    let mut frames = vec![
+        Frame::Hello { version: PROTOCOL_VERSION },
+        Frame::Reserve { request },
+        Frame::Release { reservation_id: 17 },
+        Frame::Shutdown,
+        Frame::ReserveAck { id: 9, reservation_id: 17, start_slot: 21 },
+    ];
+    for id in 0..64u64 {
+        frames.push(if id % 3 == 0 {
+            Frame::Deny { slot: 7, id, reason: DenyReason::OutputContention, retry_after_slots: 1 }
+        } else {
+            Frame::Grant { slot: 7, seq: id, id, output_wavelength: (id % 32) as u32 }
+        });
+    }
+    frames.push(Frame::SlotComplete { slot: 7 });
+    let mut wire = Vec::new();
+    for frame in &frames {
+        write_frame(&mut wire, frame).unwrap();
+    }
+
+    let before = ALLOC.heap_events();
+    let mut reader = wire.as_slice();
+    let mut decoded = 0usize;
+    while !reader.is_empty() {
+        let frame = read_frame(&mut reader).unwrap();
+        decoded += usize::from(frame == frames[decoded]);
+    }
+    let events = ALLOC.heap_events() - before;
+
+    assert_eq!(decoded, frames.len(), "every frame decodes to what was encoded");
+    assert_eq!(
+        events,
+        0,
+        "{events} heap allocations decoding {} fixed-layout frames",
+        frames.len()
     );
 }

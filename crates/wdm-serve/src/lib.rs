@@ -17,7 +17,7 @@
 //!   steady-state slot loop allocates nothing and a recorded session
 //!   replays bit-for-bit through [`wdm_sim::trace`];
 //! * [`serve_sync`] — the cross-thread coordination primitives (bounded
-//!   channel, stop flag, slot-sequence counter, shard admission queues) on
+//!   channel, stop flag, shard admission queues) on
 //!   `cfg(loom)`-swappable atomics/mutexes/condvars, exhaustively
 //!   model-checked by `tests/loom_serve.rs` under `cargo xtask loom`; the
 //!   canonical shutdown drain order is documented there;
@@ -26,8 +26,8 @@
 //!   outages) and degraded-mode policy fallback against the live engine,
 //!   with no wire-format change;
 //! * [`server`] — the daemon: acceptor + per-connection reader threads
-//!   feeding a bounded intake channel, the coordinator slot loop, and a
-//!   results thread streaming grant/deny frames back;
+//!   feeding a bounded intake channel, and the coordinator slot loop, which
+//!   writes every grant/deny frame back itself;
 //! * [`client`] — a blocking client used by `wdm-loadgen` and the smoke
 //!   tests.
 

@@ -26,6 +26,12 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// allocation (a corrupt length prefix must not OOM the daemon).
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
+/// The longest payload [`read_frame`] decodes from a stack buffer instead
+/// of a heap one. It covers every fixed-layout frame (GRANT and RESERVE,
+/// the longest, carry 29 bytes), so a client's per-slot stream of GRANT,
+/// DENY and SLOT_COMPLETE frames decodes without touching the allocator.
+pub const INLINE_PAYLOAD_LEN: usize = 64;
+
 /// One request inside a SUBMIT batch. `id` is chosen by the client and
 /// echoed verbatim on the matching GRANT/DENY frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -538,6 +544,13 @@ fn append_frame(buf: &mut Vec<u8>, frame: &Frame) -> Result<(), ProtocolError> {
 
 /// Reads and decodes one frame. Blocks until a full frame arrives; a clean
 /// EOF before the length prefix maps to [`ProtocolError::Disconnected`].
+///
+/// A payload of at most [`INLINE_PAYLOAD_LEN`] bytes — every fixed-layout
+/// frame among them — is read into a stack buffer, so decoding it allocates
+/// nothing beyond what the decoded [`Frame`] owns; a longer one is read
+/// into a heap buffer of exactly its length. Either way the reader is asked
+/// for exactly `4 + len` bytes and never more.
+#[wdm_attr::panic_free]
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtocolError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -547,6 +560,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtocolError> {
     }
     if len == 0 {
         return Err(ProtocolError::Malformed { frame: "empty" });
+    }
+    let mut inline = [0u8; INLINE_PAYLOAD_LEN];
+    if let Some(payload) = inline.get_mut(..len as usize) {
+        r.read_exact(payload)?;
+        return decode(payload);
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;

@@ -1,28 +1,30 @@
 //! Daemon coordination primitives, model-checkable under loom.
 //!
-//! Everything the four server roles (acceptor, per-connection readers,
-//! coordinator slot loop, results writer — see [`crate::server`]) use to
-//! talk *across threads* lives here, built on `cfg(loom)`-swappable
-//! primitives exactly like [`wdm_sim::sweep_sync`]:
+//! Everything the three server roles (acceptor, per-connection readers,
+//! coordinator slot loop — see [`crate::server`]) use to talk *across
+//! threads* lives here, built on `cfg(loom)`-swappable primitives exactly
+//! like [`wdm_sim::sweep_sync`]:
 //!
 //! * [`bounded`] — the bounded blocking channel (`sync_channel` semantics)
-//!   used for both the reader→coordinator intake hand-off and the
-//!   everyone→results event stream. Backpressure is the bound: a flooding
-//!   client stalls its own reader, never the daemon's memory;
+//!   that carries the readers → coordinator intake. Backpressure is the
+//!   bound: a flooding client stalls its own reader, never the daemon's
+//!   memory;
 //! * [`StopFlag`] — the accept-gate the coordinator raises at shutdown;
-//! * [`SlotSequence`] — the published-slot counter proving per-slot
-//!   sequence monotonicity between the coordinator (publisher) and the
-//!   results writer (confirmer);
 //! * [`ShardQueues`] — the bounded per-destination admission queues behind
 //!   [`crate::SlotEngine`]: batch-atomic admission, deny-when-full, drained
 //!   fully every slot.
 //!
+//! Nothing here orders socket writes: the coordinator is the daemon's only
+//! socket writer, so each connection's frames leave in the coordinator's
+//! program order, and a connection only receives frames once its reader's
+//! HELLO has reached the coordinator through the intake.
+//!
 //! Under `--cfg loom` (set by `cargo xtask loom` via `RUSTFLAGS`) the
 //! mutexes/condvars/atomics below come from the in-tree `loom` shim, and
 //! `wdm-serve/tests/loom_serve.rs` explores **every** sequentially
-//! consistent interleaving of the intake → admit → slot → results protocol,
-//! proving no-lost-batch, no-double-grant, slot-sequence monotonicity,
-//! results-written-before-join, and clean shutdown with in-flight frames.
+//! consistent interleaving of the readers → coordinator protocol, proving
+//! no-lost-batch, no-double-grant, HELLO_ACK-first on every connection,
+//! and clean shutdown with in-flight frames.
 //!
 //! # Lock hierarchy
 //!
@@ -38,20 +40,21 @@
 //! implements it and the loom model replays it with in-flight frames:
 //!
 //! 1. The coordinator decides to stop (client SHUTDOWN frame or
-//!    `max_slots`) and keeps running slots until every already-admitted
-//!    request has been answered (`pending() == 0`) — queued work is never
-//!    dropped.
+//!    `max_slots`) and keeps running slots until every admitted request
+//!    has been answered (`pending() == 0`) — admitted work is never
+//!    dropped. Events still queued in the intake are not admitted.
 //! 2. The coordinator raises the [`StopFlag`] and joins the acceptor: no
 //!    new connections or reader threads exist past this point.
-//! 3. The coordinator sends the final `Finish` event and drops its results
-//!    sender. The results writer drains the (already fully populated)
-//!    event queue in order — replies strictly before their slot's
-//!    completion broadcast — then writes out and closes every socket.
-//! 4. The coordinator joins the results writer, then every reader: their
-//!    sockets are closed (step 3), so blocked reads fail and the readers
-//!    exit. A reader racing shutdown sees a typed [`SendError`] from the
-//!    intake channel — never a hang, never a silent drop.
-//! 5. The intake receiver is dropped last, after the readers are joined.
+//! 3. The coordinator writes out every joined connection's buffer and
+//!    shuts its socket down both ways.
+//! 4. It shuts down every socket whose reader still runs, including the
+//!    connections that never joined (HELLO unread, or its join still
+//!    queued), so every blocked read fails.
+//! 5. It drops the intake receiver: a reader blocked on a full intake gets
+//!    its event back as a typed [`SendError`] — never a hang, never a send
+//!    that succeeds into a dead queue. What is still queued is never
+//!    admitted and goes when the last reader does.
+//! 6. It joins the readers.
 
 use std::collections::VecDeque;
 
@@ -288,54 +291,6 @@ impl StopFlag {
     }
 }
 
-/// The published-slot counter shared coordinator → results writer.
-///
-/// The coordinator [`publish`](SlotSequence::publish)es each slot *before*
-/// enqueuing its slot event; the results writer
-/// [`confirm`](SlotSequence::confirm)s on receipt. Both sides assert the
-/// monotone-dense discipline (slot `s` is published exactly once, after
-/// `s-1`), so a duplicated, reordered, or skipped slot broadcast trips an
-/// assertion in every build — and the loom model proves no interleaving
-/// can trip it.
-#[derive(Debug, Default)]
-pub struct SlotSequence {
-    published: AtomicUsize,
-}
-
-impl SlotSequence {
-    /// A sequence with nothing published.
-    pub fn new() -> SlotSequence {
-        SlotSequence { published: AtomicUsize::new(0) }
-    }
-
-    /// Coordinator-side: marks `slot` complete. Single-publisher: asserts
-    /// the sequence stays monotone-dense.
-    pub fn publish(&self, slot: u64) {
-        let prev = self.published.fetch_add(1, Ordering::SeqCst);
-        assert!(
-            u64::try_from(prev) == Ok(slot),
-            "slot sequence must be monotone-dense: publishing {slot} after {prev}"
-        );
-    }
-
-    /// Slots published so far (the next slot to publish).
-    pub fn published(&self) -> u64 {
-        let count = self.published.load(Ordering::SeqCst);
-        let Ok(count) = u64::try_from(count) else { unreachable!("published count exceeds u64") };
-        count
-    }
-
-    /// Results-side: asserts `slot` was published before its completion
-    /// broadcast was observed (publish-before-notify ordering).
-    pub fn confirm(&self, slot: u64) {
-        let published = self.published();
-        assert!(
-            slot < published,
-            "slot {slot} broadcast before publication (published: {published})"
-        );
-    }
-}
-
 /// Why [`ShardQueues::try_admit`] refused a request; carries the value back
 /// so the caller can answer the submitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,10 +373,7 @@ impl<T> ShardQueues<T> {
 
 #[cfg(all(test, not(loom)))]
 mod tests {
-    use super::{
-        bounded, AdmitRejection, RecvTimeoutError, ShardQueues, SlotSequence, StopFlag,
-        TryRecvError,
-    };
+    use super::{bounded, AdmitRejection, RecvTimeoutError, ShardQueues, StopFlag, TryRecvError};
     use std::time::Duration;
 
     #[test]
@@ -504,32 +456,6 @@ mod tests {
         flag.raise();
         flag.raise();
         assert!(flag.is_raised());
-    }
-
-    #[test]
-    fn slot_sequence_publishes_and_confirms() {
-        let seq = SlotSequence::new();
-        assert_eq!(seq.published(), 0);
-        seq.publish(0);
-        seq.confirm(0);
-        seq.publish(1);
-        seq.confirm(1);
-        seq.confirm(0);
-        assert_eq!(seq.published(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotone-dense")]
-    fn slot_sequence_rejects_skips() {
-        let seq = SlotSequence::new();
-        seq.publish(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "broadcast before publication")]
-    fn slot_sequence_rejects_early_confirm() {
-        let seq = SlotSequence::new();
-        seq.confirm(0);
     }
 
     #[test]

@@ -1,40 +1,44 @@
-//! The daemon: acceptor, per-connection readers, coordinator slot loop,
-//! and the results writer.
+//! The daemon: acceptor, per-connection readers, and the coordinator, which
+//! runs the slot loop and is the only thread that writes to a socket.
 //!
 //! Thread layout (all std threads, no async runtime — see DESIGN.md §11
 //! and §12):
 //!
 //! * **acceptor** — polls a non-blocking listener, assigns connection ids,
-//!   registers the write half with the results thread, spawns one
+//!   bounds every write to the new socket by [`WRITE_TIMEOUT`], spawns one
 //!   **reader** thread per connection, and joins each reader once it has
-//!   exited, so it holds a handle per open connection, not per accepted one;
-//! * **readers** — run the HELLO handshake, then forward SUBMIT requests
+//!   exited, so it holds a handle (and a clone of the socket, for teardown)
+//!   per open connection, not per accepted one;
+//! * **readers** — run the HELLO handshake and report its outcome to the
+//!   coordinator, handing over a write half of the socket; once HELLO is
+//!   accepted they forward SUBMIT, RESERVE, RELEASE and SHUTDOWN frames
 //!   into a *bounded* intake channel (a blocking send is the backpressure:
-//!   a flooding client stalls its own reader, never the daemon's memory);
+//!   a flooding client stalls its own reader, never the daemon's memory).
+//!   A reader never writes to its socket;
 //! * **coordinator** (the [`Server::run`] thread) — drains intake until the
 //!   slot boundary, ticks the [`crate::SlotClock`], runs
-//!   [`SlotEngine::run_slot`], publishes the slot to the shared
-//!   [`SlotSequence`], and hands the slot's replies to the results thread
-//!   as one event;
-//! * **results** — owns every connection's write half and one reused byte
-//!   buffer per connection. It encodes grant/deny frames into the
-//!   buffers, appends SLOT_COMPLETE to every connection (confirming each
-//!   slot against the [`SlotSequence`]), and writes each buffer with one
-//!   `write_all` whenever its queue goes momentarily empty (prompt when
-//!   quiet, batched under load) or the buffer passes `WRITE_BOUND`.
+//!   [`SlotEngine::run_slot`], and writes every frame the daemon sends. A
+//!   connection joins its writer table only when its reader reports an
+//!   accepted HELLO, so HELLO_ACK is always the connection's first frame.
+//!   Frames are encoded into one reused buffer per connection: HELLO_ACK,
+//!   admission denies and RESERVE acks as intake yields them, then each
+//!   slot's replies followed by SLOT_COMPLETE on every joined connection.
+//!   Each buffer is written with one `write_all` at the end of every slot,
+//!   before the coordinator blocks on intake, or as soon as it passes
+//!   `WRITE_BOUND`.
 //!
 //! Every cross-thread structure here comes from [`crate::serve_sync`],
 //! whose loom model (`tests/loom_serve.rs`) exhaustively checks the
-//! intake → admit → slot → results protocol; the shutdown sequence
-//! follows the drain order documented there — a client SHUTDOWN frame or
-//! the configured `max_slots` stops the loop after the in-flight slot, and
-//! queued requests are answered before the sockets close.
+//! readers → coordinator protocol; the shutdown sequence follows the drain
+//! order documented there — a client SHUTDOWN frame or the configured
+//! `max_slots` stops the loop after the in-flight slot, and admitted
+//! requests are answered before the sockets close.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wdm_sim::trace::SessionTrace;
 
@@ -44,32 +48,26 @@ use crate::protocol::{
     encode_frame, read_frame, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
 use crate::scenario::{ScenarioRuntime, ScenarioSummary};
-use crate::serve_sync::{
-    self, Receiver, RecvTimeoutError, Sender, SlotSequence, StopFlag, TryRecvError,
-};
+use crate::serve_sync::{self, RecvTimeoutError, Sender, StopFlag, TryRecvError};
 
 /// How many in-flight intake events the readers may buffer ahead of the
 /// coordinator before blocking (per server, not per connection).
 const INTAKE_DEPTH: usize = 4096;
 
-/// How many result events the producers may buffer ahead of the results
-/// writer. A slot travels as one event carrying all its replies and every
-/// other event carries at most one, so the coordinator runs at most
-/// `RESULTS_DEPTH` slots ahead of the socket writes. A slot answers the
-/// requests it drained (at most `n · queue_capacity`), the reservations
-/// due in it (at most `n · k`: the ledger books an input channel to one
-/// reservation at a time), and the reservations an outage cancelled in
-/// it. Outages aside, the queue thus holds at most
-/// `8 · (n · queue_capacity + n · k)` replies — 69 632 with the default
-/// 1 024-entry queues at `n = 8`, `k = 64`. This can never deadlock:
-/// events flow into the results thread only — it sends nothing back — so a
-/// full queue merely paces the coordinator to the write side's drain rate.
-const RESULTS_DEPTH: usize = 8;
-
-/// Bytes a connection's write buffer may reach before the results thread
-/// writes it out without waiting for its queue to go quiet, so a buffer
-/// never holds more than this plus one frame.
+/// Bytes a connection's write buffer may reach before the coordinator
+/// writes it out mid-slot, so a buffer never holds more than this plus one
+/// frame.
 const WRITE_BOUND: usize = 8 * 1024;
+
+/// How long one buffer's write may block the coordinator. A client that
+/// stops reading fills its socket buffers until a write blocks; that write
+/// fails once this bound has passed, and the connection is closed both
+/// ways. Each system call is bounded by the socket's write timeout, set to
+/// this at accept, and a deadline across the calls keeps a client that
+/// drains a trickle from stretching one write past twice this bound. So a
+/// stalled client holds every other client's slot back at most once, for
+/// at most that long.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_micros(500);
@@ -123,28 +121,23 @@ pub struct ServerReport {
 /// Events flowing readers → coordinator. A SUBMIT frame travels as one
 /// event so a client's batch is admitted atomically — it can never be
 /// split across a slot boundary, which keeps single-client closed-loop
-/// sessions fully deterministic.
+/// sessions fully deterministic. A reader's first event reports its
+/// handshake: `Join` hands an accepted connection's write half to the
+/// writer table, `Refuse` hands over the socket of a refused one for its
+/// ERROR frame (nothing else is ever written to it). After `Join` a
+/// protocol violation arrives as `Fatal` (ERROR, then close) and a failed
+/// read or EOF as `Close`. A reader's events arrive in the order it sent
+/// them, so `Join` precedes everything else its connection sends.
 #[derive(Debug)]
 enum InEvent {
+    Join { conn: u64, stream: TcpStream },
+    Refuse { stream: TcpStream, code: u32, message: String },
     Submit { conn: u64, requests: Vec<SubmitRequest> },
     Reserve { conn: u64, request: ReserveRequest },
     Release { conn: u64, reservation_id: u64 },
-    Shutdown,
-}
-
-/// Events flowing acceptor/readers/coordinator → results writer. An
-/// admission deny or RESERVE ack travels alone as a `Reply`; a slot's
-/// replies travel together, in engine order, as one `Slot`, which the
-/// writer follows with the slot's SLOT_COMPLETE.
-#[derive(Debug)]
-enum OutEvent {
-    Register { conn: u64, stream: TcpStream },
-    HelloOk { conn: u64 },
     Fatal { conn: u64, code: u32, message: String },
-    Reply(Reply),
-    Slot { slot: u64, replies: Vec<Reply> },
     Close { conn: u64 },
-    Finish,
+    Shutdown,
 }
 
 /// A bound-but-not-yet-running daemon. Binding is separate from running so
@@ -179,25 +172,18 @@ impl Server {
             Some(plan) => Some(ScenarioRuntime::new(Arc::clone(plan), &engine)?),
             None => None,
         };
-        let hello = HelloInfo {
+        let mut writers = Writers::new(Frame::HelloAck {
+            version: PROTOCOL_VERSION,
             n: u32::try_from(engine.n()).unwrap_or(u32::MAX),
             k: u32::try_from(engine.k()).unwrap_or(u32::MAX),
             policy: engine.policy().name().to_owned(),
-        };
+        });
 
         let stop_accepting = Arc::new(StopFlag::new());
-        let slot_seq = Arc::new(SlotSequence::new());
         let (in_tx, in_rx) = serve_sync::bounded::<InEvent>(INTAKE_DEPTH);
-        let (out_tx, out_rx) = serve_sync::bounded::<OutEvent>(RESULTS_DEPTH);
-
-        let results = {
-            let slot_seq = Arc::clone(&slot_seq);
-            std::thread::spawn(move || results_loop(&out_rx, &hello, &slot_seq))
-        };
         let acceptor = {
             let stop = Arc::clone(&stop_accepting);
-            let out_tx = out_tx.clone();
-            std::thread::spawn(move || acceptor_loop(&listener, &stop, &in_tx, &out_tx))
+            std::thread::spawn(move || acceptor_loop(&listener, &stop, &in_tx))
         };
 
         let mut clock = SlotClock::new(config.slot_period);
@@ -213,7 +199,7 @@ impl Server {
             scenario: None,
             trace: None,
         };
-        let mut out: Vec<Reply> = Vec::new();
+        let mut replies: Vec<Reply> = Vec::new();
         let mut stop = false;
 
         'slots: loop {
@@ -221,7 +207,7 @@ impl Server {
             if clock.free_running() {
                 loop {
                     match in_rx.try_recv() {
-                        Ok(ev) => handle_in(ev, &mut engine, &out_tx, &mut report, &mut stop)?,
+                        Ok(ev) => handle_in(ev, &mut engine, &mut writers, &mut report, &mut stop),
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => break 'slots,
                     }
@@ -232,8 +218,9 @@ impl Server {
                     if remaining.is_zero() {
                         break;
                     }
+                    writers.write_dirty();
                     match in_rx.recv_timeout(remaining) {
-                        Ok(ev) => handle_in(ev, &mut engine, &out_tx, &mut report, &mut stop)?,
+                        Ok(ev) => handle_in(ev, &mut engine, &mut writers, &mut report, &mut stop),
                         Err(RecvTimeoutError::Timeout) => break,
                         Err(RecvTimeoutError::Disconnected) => break 'slots,
                     }
@@ -250,35 +237,30 @@ impl Server {
                 // executed slot — timing can never leak into the trace. A
                 // pending reservation counts as work: its start slot must
                 // arrive, so slots keep executing until it activates.
+                writers.write_dirty();
                 match in_rx.recv_timeout(IDLE_PARK) {
-                    Ok(ev) => handle_in(ev, &mut engine, &out_tx, &mut report, &mut stop)?,
+                    Ok(ev) => handle_in(ev, &mut engine, &mut writers, &mut report, &mut stop),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break 'slots,
                 }
                 continue;
             }
 
-            // 2. The slot: drain shards, schedule, hand the replies over as
-            // one event. The slot is published to the shared sequence
-            // *before* its event is enqueued (the results thread confirms
-            // the order). Scenario disruptions and fallback decisions land
-            // first, so a failure planned for slot s is in force when s is
-            // scheduled; replies to outage-cancelled reservations lead the
-            // stream.
+            // 2. The slot: drain shards, schedule, write the replies and
+            // SLOT_COMPLETE. Scenario disruptions and fallback decisions
+            // land first, so a failure planned for slot s is in force when
+            // s is scheduled; replies to outage-cancelled reservations lead
+            // the stream.
             if let Some(rt) = scenario.as_mut() {
-                rt.before_slot(&mut engine, clock.lag_slots(), &mut out);
+                rt.before_slot(&mut engine, clock.lag_slots(), &mut replies);
             }
-            let summary = engine.run_slot(&mut out);
+            let summary = engine.run_slot(&mut replies);
             report.grants += summary.grants as u64;
             report.denies += summary.denies as u64;
             report.reservation_grants += summary.reservation_grants as u64;
             report.reservation_expiries += summary.reservation_expiries as u64;
-            // The next slot's vector starts at this one's size, so it
-            // rarely regrows.
-            let next = Vec::with_capacity(out.len());
-            let replies = std::mem::replace(&mut out, next);
-            slot_seq.publish(summary.slot);
-            send_out(&out_tx, OutEvent::Slot { slot: summary.slot, replies })?;
+            writers.slot(summary.slot, &replies);
+            replies.clear();
             report.slots += 1;
 
             if stop && engine.pending() == 0 {
@@ -292,69 +274,51 @@ impl Server {
         }
 
         // Teardown, in the serve_sync drain order: raise the stop flag and
-        // join the acceptor (no new readers past this point), send Finish
-        // and drop the results sender (the writer drains, flushes, closes
-        // every socket — unblocking the readers), join the results writer,
-        // join the readers, and only then drop the intake receiver.
+        // join the acceptor (no new readers past this point); write out and
+        // close every joined connection; shut down every socket a reader
+        // still holds, joined or not, which ends its blocked read; drop the
+        // intake receiver, which fails any send still blocked on a full
+        // intake; and join the readers.
         stop_accepting.raise();
-        let (accepted, reader_handles): (u64, Vec<JoinHandle<()>>) =
-            acceptor.join().unwrap_or_default();
+        let (accepted, readers) = acceptor.join().unwrap_or_default();
         report.connections = accepted;
-        // A failed Finish send means the results thread already exited —
-        // it only does that early by panicking, which the join surfaces.
-        let finish_sent = out_tx.send(OutEvent::Finish).is_ok();
-        drop(out_tx);
-        if results.join().is_err() || !finish_sent {
-            return Err(ProtocolError::Disconnected);
-        }
-        for h in reader_handles {
-            // A reader that panicked already closed its connection; the
-            // report is still sound, so keep joining the rest.
-            let _ = h.join();
+        writers.close_all();
+        for (_, socket) in &readers {
+            // Already shut down when the connection had joined; either
+            // way the socket is closed afterwards.
+            let _ = socket.shutdown(Shutdown::Both);
         }
         drop(in_rx);
+        for (thread, _) in readers {
+            // A reader that panicked held no daemon state; the report is
+            // still sound, so keep joining the rest.
+            let _ = thread.join();
+        }
         report.scenario = scenario.map(|rt| rt.summary());
         report.trace = engine.take_trace();
         Ok(report)
     }
 }
 
-/// Topology advertised in HELLO_ACK.
-#[derive(Debug, Clone)]
-struct HelloInfo {
-    n: u32,
-    k: u32,
-    policy: String,
-}
-
-/// Forwards an event to the results writer, typing the only failure —
-/// the writer is gone — as a disconnect for the coordinator to propagate.
-fn send_out(out_tx: &Sender<OutEvent>, ev: OutEvent) -> Result<(), ProtocolError> {
-    out_tx.send(ev).map_err(|_| ProtocolError::Disconnected)
-}
-
-/// Best-effort send for paths that terminate regardless of delivery: a
-/// failed send means the receiving thread is already tearing down, which
-/// also ends the caller's code path. Absorbing the typed error *here*, in
-/// one audited place, is the handled alternative to `let _ = tx.send(..)`
-/// at call sites (which the `channels` lint bans).
-fn send_final<T>(tx: &Sender<T>, ev: T) {
-    let Ok(()) = tx.send(ev) else { return };
-}
-
 fn handle_in(
     ev: InEvent,
     engine: &mut SlotEngine,
-    out_tx: &Sender<OutEvent>,
+    writers: &mut Writers,
     report: &mut ServerReport,
     stop: &mut bool,
-) -> Result<(), ProtocolError> {
+) {
     match ev {
+        InEvent::Join { conn, stream } => writers.join(conn, stream),
+        InEvent::Refuse { stream, code, message } => {
+            let mut entry = Some(ConnWriter { stream, buf: Vec::new() });
+            queue(&mut entry, &Frame::Error { code, message });
+            close_conn(&mut entry);
+        }
         InEvent::Submit { conn, requests } => {
             for req in requests {
                 if let Some(reply) = engine.submit(conn, req) {
                     report.admission_denies += 1;
-                    send_out(out_tx, OutEvent::Reply(reply))?;
+                    writers.send(reply.conn, &reply_frame(&reply));
                 }
             }
         }
@@ -367,162 +331,133 @@ fn handle_in(
                     unreachable!("admission never grants; grants come from run_slot")
                 }
             }
-            send_out(out_tx, OutEvent::Reply(reply))?;
+            writers.send(reply.conn, &reply_frame(&reply));
         }
         InEvent::Release { conn, reservation_id } => {
             // One-way by protocol contract: unknown ids, foreign owners,
             // and already-activated reservations are silent no-ops.
             let _released = engine.release(conn, reservation_id);
         }
+        InEvent::Fatal { conn, code, message } => {
+            writers.send(conn, &Frame::Error { code, message });
+            writers.close(conn);
+        }
+        InEvent::Close { conn } => writers.close(conn),
         InEvent::Shutdown => *stop = true,
     }
-    Ok(())
 }
 
+/// A running reader thread and a clone of its socket, which teardown shuts
+/// down to end the reader's blocked read — also for a connection that
+/// never joined the writer table.
+type ReaderHandle = (JoinHandle<()>, TcpStream);
+
 /// Accepts connections until told to stop; returns how many readers it
-/// started and the handles of those still running, so the coordinator can
-/// join them after the sockets are shut down. Readers that exit earlier
-/// are joined as the loop goes.
+/// started and those still running, so the coordinator can shut their
+/// sockets down and join them. Readers that exit earlier are joined as the
+/// loop goes.
 fn acceptor_loop(
     listener: &TcpListener,
     stop: &StopFlag,
     in_tx: &Sender<InEvent>,
-    out_tx: &Sender<OutEvent>,
-) -> (u64, Vec<JoinHandle<()>>) {
-    let mut handles = Vec::new();
+) -> (u64, Vec<ReaderHandle>) {
+    let mut readers = Vec::new();
     let mut accepted: u64 = 0;
     if listener.set_nonblocking(true).is_err() {
-        return (accepted, handles);
+        return (accepted, readers);
     }
     let mut next_conn: u64 = 0;
     while !stop.is_raised() {
-        reap_finished(&mut handles);
+        reap_finished(&mut readers);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let conn = next_conn;
                 next_conn += 1;
                 let _ = stream.set_nodelay(true);
-                let Ok(write_half) = stream.try_clone() else {
+                // The socket option covers every clone of the socket, so
+                // each system call the coordinator makes on it is bounded.
+                if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+                    continue;
+                }
+                let Ok(socket) = stream.try_clone() else {
                     continue;
                 };
-                if out_tx.send(OutEvent::Register { conn, stream: write_half }).is_err() {
-                    // Results writer gone: the daemon is tearing down.
-                    break;
-                }
                 let in_tx = in_tx.clone();
-                let out_tx = out_tx.clone();
-                handles.push(std::thread::spawn(move || {
-                    reader_loop(conn, stream, &in_tx, &out_tx);
-                }));
+                let thread = std::thread::spawn(move || reader_loop(conn, stream, &in_tx));
+                readers.push((thread, socket));
                 accepted += 1;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => break,
         }
     }
-    (accepted, handles)
+    (accepted, readers)
 }
 
-/// Joins and drops the handles whose thread has exited; returns how many.
-/// A reader that panicked already closed its connection, so its join
-/// result is not an error of the daemon's.
-fn reap_finished(handles: &mut Vec<JoinHandle<()>>) -> usize {
-    let before = handles.len();
+/// Joins and drops the entries whose thread has exited; returns how many.
+/// A reader that panicked held no daemon state, so its join result is not
+/// an error of the daemon's.
+fn reap_finished<T>(readers: &mut Vec<(JoinHandle<()>, T)>) -> usize {
+    let before = readers.len();
     let mut i = 0;
-    while let Some(h) = handles.get(i) {
-        if h.is_finished() {
-            let _ = handles.swap_remove(i).join();
+    while let Some((thread, _)) = readers.get(i) {
+        if thread.is_finished() {
+            let _ = readers.swap_remove(i).0.join();
         } else {
             i += 1;
         }
     }
-    before - handles.len()
+    before - readers.len()
 }
 
-/// One connection's read side: HELLO handshake, then SUBMIT/SHUTDOWN until
-/// disconnect or a protocol violation (which closes only this connection).
+/// One connection's read side: the HELLO handshake, then SUBMIT, RESERVE,
+/// RELEASE and SHUTDOWN until disconnect or a protocol violation (which
+/// closes only this connection). The reader never writes: it hands a write
+/// half of the socket to the coordinator with the handshake's outcome.
 ///
-/// Every event send is handled: a failed send means the receiving thread is
-/// tearing down, which ends this connection too — readers exit, they never
-/// drop an event silently.
-fn reader_loop(conn: u64, stream: TcpStream, in_tx: &Sender<InEvent>, out_tx: &Sender<OutEvent>) {
-    let mut reader = std::io::BufReader::new(stream);
-    let handshake_sent = match read_frame(&mut reader) {
-        Ok(Frame::Hello { version }) if version == PROTOCOL_VERSION => {
-            out_tx.send(OutEvent::HelloOk { conn }).is_ok()
-        }
-        Ok(Frame::Hello { version }) => {
-            let fatal = OutEvent::Fatal {
-                conn,
-                code: 2,
-                message: format!(
-                    "protocol version mismatch: server {PROTOCOL_VERSION}, client {version}"
-                ),
-            };
-            send_final(out_tx, fatal);
-            return;
-        }
-        Ok(_) => {
-            let fatal = OutEvent::Fatal {
-                conn,
-                code: 3,
-                message: "expected HELLO as the first frame".to_owned(),
-            };
-            send_final(out_tx, fatal);
-            return;
-        }
-        Err(_) => {
-            send_final(out_tx, OutEvent::Close { conn });
-            return;
-        }
+/// Every event send is handled: a failed send means the coordinator is
+/// tearing down, and it closes every connection itself.
+fn reader_loop(conn: u64, stream: TcpStream, in_tx: &Sender<InEvent>) {
+    let mut reader = BufReader::new(stream);
+    let refusal = match read_frame(&mut reader) {
+        Ok(Frame::Hello { version }) if version == PROTOCOL_VERSION => None,
+        Ok(Frame::Hello { version }) => Some((
+            2,
+            format!("protocol version mismatch: server {PROTOCOL_VERSION}, client {version}"),
+        )),
+        Ok(_) => Some((3, "expected HELLO as the first frame".to_owned())),
+        // Nothing to answer: the socket closes once the acceptor's clone
+        // of it is reaped.
+        Err(_) => return,
     };
-    if !handshake_sent {
+    let Ok(stream) = reader.get_ref().try_clone() else {
+        return;
+    };
+    let (first, joined) = match refusal {
+        None => (InEvent::Join { conn, stream }, true),
+        Some((code, message)) => (InEvent::Refuse { stream, code, message }, false),
+    };
+    if in_tx.send(first).is_err() || !joined {
         return;
     }
     loop {
-        match read_frame(&mut reader) {
-            Ok(Frame::Submit { requests }) => {
-                if in_tx.send(InEvent::Submit { conn, requests }).is_err() {
-                    send_final(out_tx, OutEvent::Close { conn });
-                    return;
-                }
-            }
-            Ok(Frame::Reserve { request }) => {
-                if in_tx.send(InEvent::Reserve { conn, request }).is_err() {
-                    send_final(out_tx, OutEvent::Close { conn });
-                    return;
-                }
-            }
-            Ok(Frame::Release { reservation_id }) => {
-                if in_tx.send(InEvent::Release { conn, reservation_id }).is_err() {
-                    send_final(out_tx, OutEvent::Close { conn });
-                    return;
-                }
-            }
-            Ok(Frame::Shutdown) => {
-                if in_tx.send(InEvent::Shutdown).is_err() {
-                    // The coordinator is already past its intake loop —
-                    // shutdown is in progress, which is what was asked for.
-                    send_final(out_tx, OutEvent::Close { conn });
-                    return;
-                }
-            }
-            Ok(_) => {
-                let fatal = OutEvent::Fatal {
-                    conn,
-                    code: 3,
-                    message: "clients may only send SUBMIT, RESERVE, RELEASE, or SHUTDOWN"
-                        .to_owned(),
-                };
-                send_final(out_tx, fatal);
-                return;
-            }
-            Err(_) => {
-                send_final(out_tx, OutEvent::Close { conn });
-                return;
-            }
+        let ev = match read_frame(&mut reader) {
+            Ok(Frame::Submit { requests }) => InEvent::Submit { conn, requests },
+            Ok(Frame::Reserve { request }) => InEvent::Reserve { conn, request },
+            Ok(Frame::Release { reservation_id }) => InEvent::Release { conn, reservation_id },
+            Ok(Frame::Shutdown) => InEvent::Shutdown,
+            Ok(_) => InEvent::Fatal {
+                conn,
+                code: 3,
+                message: "clients may only send SUBMIT, RESERVE, RELEASE, or SHUTDOWN".to_owned(),
+            },
+            Err(_) => InEvent::Close { conn },
+        };
+        let last = matches!(ev, InEvent::Fatal { .. } | InEvent::Close { .. });
+        if in_tx.send(ev).is_err() || last {
+            return;
         }
     }
 }
@@ -537,86 +472,113 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    /// Writes the buffered frames with one `write_all` and empties the
-    /// buffer; `false` on a transport error.
+    /// Writes the buffered frames and empties the buffer; `false` on a
+    /// transport error, or when the socket did not take them all within
+    /// [`WRITE_TIMEOUT`].
     fn write_out(&mut self) -> bool {
         if self.buf.is_empty() {
             return true;
         }
-        let written = self.stream.write_all(&self.buf).is_ok();
+        let deadline = Instant::now() + WRITE_TIMEOUT;
+        let mut rest = self.buf.as_slice();
+        let written = loop {
+            match self.stream.write(rest) {
+                Ok(0) => break false,
+                Ok(n) => rest = rest.get(n..).unwrap_or_default(),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+            if rest.is_empty() {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+        };
         self.buf.clear();
         written
     }
 }
 
-/// The single writer thread: owns every connection's write side.
-fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotSequence) {
-    // Connection ids are dense and small; a Vec doubles as the map.
-    let mut writers: Vec<Option<ConnWriter>> = Vec::new();
-    let mut dirty = false;
-    loop {
-        // Write-on-quiet: batch while the queue has depth, write every
-        // buffer the moment it empties so a lone reply never waits for the
-        // next slot.
-        let ev = match out_rx.try_recv() {
-            Ok(ev) => ev,
-            Err(TryRecvError::Empty) => {
-                if dirty {
-                    write_all_out(&mut writers);
-                    dirty = false;
-                }
-                match out_rx.recv() {
-                    Ok(ev) => ev,
-                    Err(_) => return,
-                }
+/// The coordinator's write side: every joined connection's [`ConnWriter`],
+/// indexed by connection id (ids are dense and small, so a `Vec` doubles
+/// as the map).
+#[derive(Debug)]
+struct Writers {
+    conns: Vec<Option<ConnWriter>>,
+    /// Some buffer may hold frames not yet written.
+    dirty: bool,
+    /// The HELLO_ACK each connection receives as it joins.
+    hello: Frame,
+}
+
+impl Writers {
+    fn new(hello: Frame) -> Writers {
+        Writers { conns: Vec::new(), dirty: false, hello }
+    }
+
+    /// Adds a connection whose HELLO was accepted and queues its HELLO_ACK.
+    fn join(&mut self, conn: u64, stream: TcpStream) {
+        let idx = conn as usize;
+        if self.conns.len() <= idx {
+            self.conns.resize_with(idx + 1, || None);
+        }
+        let entry = &mut self.conns[idx];
+        *entry = Some(ConnWriter { stream, buf: Vec::new() });
+        queue(entry, &self.hello);
+        self.dirty = true;
+    }
+
+    /// Queues one frame for `conn`; dropped when `conn` is not joined.
+    fn send(&mut self, conn: u64, frame: &Frame) {
+        if let Some(entry) = self.conns.get_mut(conn as usize) {
+            queue(entry, frame);
+            self.dirty = true;
+        }
+    }
+
+    /// Queues a slot's replies, then SLOT_COMPLETE on every joined
+    /// connection, and writes every buffer out.
+    fn slot(&mut self, slot: u64, replies: &[Reply]) {
+        for reply in replies {
+            self.send(reply.conn, &reply_frame(reply));
+        }
+        let complete = Frame::SlotComplete { slot };
+        for entry in &mut self.conns {
+            let written = entry
+                .as_mut()
+                .map(|w| encode_frame(&mut w.buf, &complete).is_ok() && w.write_out());
+            if written == Some(false) {
+                close_conn(entry);
             }
-            Err(TryRecvError::Disconnected) => return,
-        };
-        match ev {
-            OutEvent::Register { conn, stream } => {
-                let idx = conn as usize;
-                if writers.len() <= idx {
-                    writers.resize_with(idx + 1, || None);
-                }
-                writers[idx] = Some(ConnWriter { stream, buf: Vec::new() });
+        }
+        self.dirty = false;
+    }
+
+    /// Writes out every buffer that holds frames; a failed write closes its
+    /// connection. Called before the coordinator blocks on intake.
+    fn write_dirty(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
+        for entry in &mut self.conns {
+            if entry.as_mut().is_some_and(|w| !w.write_out()) {
+                close_conn(entry);
             }
-            OutEvent::HelloOk { conn } => {
-                let ack = Frame::HelloAck {
-                    version: PROTOCOL_VERSION,
-                    n: hello.n,
-                    k: hello.k,
-                    policy: hello.policy.clone(),
-                };
-                send_to(&mut writers, conn, &ack);
-                dirty = true;
-            }
-            OutEvent::Fatal { conn, code, message } => {
-                send_to(&mut writers, conn, &Frame::Error { code, message });
-                close_conn(&mut writers, conn);
-            }
-            OutEvent::Reply(reply) => {
-                send_to(&mut writers, reply.conn, &reply_frame(&reply));
-                dirty = true;
-            }
-            OutEvent::Slot { slot, replies } => {
-                for reply in &replies {
-                    send_to(&mut writers, reply.conn, &reply_frame(reply));
-                }
-                // Publish-before-send: the coordinator published this slot
-                // before enqueuing the event.
-                slot_seq.confirm(slot);
-                for conn in 0..writers.len() as u64 {
-                    send_to(&mut writers, conn, &Frame::SlotComplete { slot });
-                }
-                dirty = true;
-            }
-            OutEvent::Close { conn } => close_conn(&mut writers, conn),
-            OutEvent::Finish => {
-                for conn in 0..writers.len() as u64 {
-                    close_conn(&mut writers, conn);
-                }
-                return;
-            }
+        }
+    }
+
+    /// Writes out what `conn` has buffered and closes it.
+    fn close(&mut self, conn: u64) {
+        if let Some(entry) = self.conns.get_mut(conn as usize) {
+            close_conn(entry);
+        }
+    }
+
+    /// Writes out and closes every joined connection.
+    fn close_all(&mut self) {
+        for entry in &mut self.conns {
+            close_conn(entry);
         }
     }
 }
@@ -636,42 +598,28 @@ fn reply_frame(reply: &Reply) -> Frame {
     }
 }
 
-/// Appends a frame to one connection's buffer and writes the buffer out
-/// once it passes [`WRITE_BOUND`]. A failure drops the writer (the reader
-/// side notices the closed socket and unwinds the connection).
-fn send_to(writers: &mut [Option<ConnWriter>], conn: u64, frame: &Frame) {
-    let Some(slot) = writers.get_mut(conn as usize) else {
-        return;
-    };
-    let Some(w) = slot.as_mut() else {
+/// Appends a frame to the connection in `entry` and writes the buffer out
+/// once it passes [`WRITE_BOUND`]. A failure closes the connection; an
+/// empty entry (a closed connection) drops the frame.
+fn queue(entry: &mut Option<ConnWriter>, frame: &Frame) {
+    let Some(w) = entry.as_mut() else {
         return;
     };
     let sent =
         encode_frame(&mut w.buf, frame).is_ok() && (w.buf.len() < WRITE_BOUND || w.write_out());
     if !sent {
-        *slot = None;
+        close_conn(entry);
     }
 }
 
-/// Writes out every connection's buffer; a failure drops that writer.
-fn write_all_out(writers: &mut [Option<ConnWriter>]) {
-    for slot in writers.iter_mut() {
-        if slot.as_mut().is_some_and(|w| !w.write_out()) {
-            *slot = None;
-        }
-    }
-}
-
-/// Writes out what is buffered, shuts the socket down both ways
-/// (unblocking the reader thread), and forgets the writer.
-fn close_conn(writers: &mut [Option<ConnWriter>], conn: u64) {
-    let Some(slot) = writers.get_mut(conn as usize) else {
-        return;
-    };
-    if let Some(mut w) = slot.take() {
+/// Writes out what the connection in `entry` has buffered, shuts its socket
+/// down both ways (which ends its reader's blocked read), and empties the
+/// entry.
+fn close_conn(entry: &mut Option<ConnWriter>) {
+    if let Some(mut w) = entry.take() {
         // Best effort: the connection closes whether or not the tail lands.
         let _ = w.write_out();
-        let _ = w.stream.shutdown(std::net::Shutdown::Both);
+        let _ = w.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -686,7 +634,7 @@ mod tests {
     use crate::Client;
 
     /// Reaps until `handles` is down to `left`, failing after ten seconds.
-    fn reap_until(handles: &mut Vec<JoinHandle<()>>, left: usize) -> usize {
+    fn reap_until(handles: &mut Vec<(JoinHandle<()>, ())>, left: usize) -> usize {
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut reaped = 0;
         while handles.len() > left {
@@ -700,10 +648,13 @@ mod tests {
     #[test]
     fn reaping_joins_exited_threads_and_keeps_running_ones() {
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let mut handles = vec![std::thread::spawn(move || {
-            let _ = release_rx.recv();
-        })];
-        handles.extend((0..3).map(|_| std::thread::spawn(|| {})));
+        let mut handles = vec![(
+            std::thread::spawn(move || {
+                let _ = release_rx.recv();
+            }),
+            (),
+        )];
+        handles.extend((0..3).map(|_| (std::thread::spawn(|| {}), ())));
         // The blocked thread cannot finish before its release, so exactly
         // the three that returned at once are reaped.
         assert_eq!(reap_until(&mut handles, 1), 3);
@@ -711,7 +662,7 @@ mod tests {
         assert_eq!(handles.len(), 1);
         release_tx.send(()).unwrap();
         assert_eq!(reap_until(&mut handles, 0), 1);
-        assert_eq!(reap_finished(&mut Vec::new()), 0);
+        assert_eq!(reap_finished::<()>(&mut Vec::new()), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::io::Read;
 use proptest::prelude::*;
 use wdm_serve::protocol::{
     encode_frame, read_frame, write_frame, DenyReason, Frame, ProtocolError, ReserveRequest,
-    SubmitRequest, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    SubmitRequest, INLINE_PAYLOAD_LEN, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// A reader over a byte slice that records how many bytes were consumed,
@@ -290,6 +290,52 @@ fn failed_encode_leaves_the_buffer_unchanged() {
         let mut written = Vec::new();
         assert!(write_frame(&mut written, frame).is_err());
         assert!(written.is_empty(), "{name}: write_frame wrote part of a failed frame");
+    }
+}
+
+/// Frames whose payloads sit at the edge of `read_frame`'s stack buffer
+/// decode equal to the encoded frame on both sides of it — ERROR messages
+/// and HELLO_ACK policy names sized to one byte below, at, and one byte
+/// above [`INLINE_PAYLOAD_LEN`], and SUBMITs with the most requests that
+/// fit and one more. Each is read to exactly its last byte; cut one byte
+/// short, it fails as a disconnect without reading past the stream.
+#[test]
+fn payloads_at_the_inline_buffer_edge_decode_on_both_paths() {
+    let edge = INLINE_PAYLOAD_LEN;
+    let mut cases: Vec<(Frame, usize)> = Vec::new();
+    for len in [edge - 1, edge, edge + 1] {
+        // ERROR: tag, code (4), message length (2), message.
+        cases.push((Frame::Error { code: 3, message: "e".repeat(len - 7) }, len));
+        // HELLO_ACK: tag, version (2), n (4), k (4), name length (1), name.
+        let policy = "p".repeat(len - 12);
+        cases.push((Frame::HelloAck { version: PROTOCOL_VERSION, n: 8, k: 64, policy }, len));
+    }
+    // SUBMIT: tag, count (4), 24 bytes per request.
+    let fits = (edge - 5) / 24;
+    for count in [fits, fits + 1] {
+        let requests = (0..count as u64)
+            .map(|i| SubmitRequest {
+                id: i,
+                src_fiber: 1,
+                src_wavelength: 2,
+                dst_fiber: 3,
+                duration: 4,
+            })
+            .collect();
+        cases.push((Frame::Submit { requests }, 5 + 24 * count));
+    }
+    assert!(5 + 24 * fits <= edge && 5 + 24 * (fits + 1) > edge);
+
+    for (frame, payload_len) in &cases {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, frame).unwrap();
+        assert_eq!(bytes.len(), 4 + payload_len, "{frame:?} is not the size under test");
+        let mut reader = CountingReader::new(&bytes);
+        assert_eq!(read_frame(&mut reader).unwrap(), *frame);
+        assert_eq!(reader.consumed(), bytes.len(), "{payload_len}-byte payload not read exactly");
+        assert_eq!(decode_counted(&bytes).unwrap(), *frame);
+        let short = &bytes[..bytes.len() - 1];
+        assert!(matches!(decode_counted(short), Err(ProtocolError::Disconnected)));
     }
 }
 

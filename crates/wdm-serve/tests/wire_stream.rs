@@ -11,7 +11,7 @@
 //!
 //! The stream holds a slot whose replies to one connection exceed 8 KiB
 //! (every input channel of `N = 8`, `k = 64` requested at once), so the
-//! results thread writes that connection's buffer mid-slot; it also holds
+//! coordinator writes that connection's buffer mid-slot; it also holds
 //! `InvalidRequest` admission denies, RESERVE acks with their activation
 //! verdicts, and a connection that never submits and so receives only
 //! HELLO_ACK and the SLOT_COMPLETE broadcasts.

@@ -11,8 +11,9 @@
 //!    `mpsc::sync_channel` with an explicit depth.
 //! 2. A send result may not be discarded: `let _ = tx.send(..)`,
 //!    `tx.send(..).ok()`, and `drop(tx.send(..))` are all banned. Either
-//!    propagate the `SendError`, branch on it, or absorb it in one audited,
-//!    documented helper (see `server::send_final`).
+//!    propagate the `SendError`, branch on it (the daemon's readers end
+//!    their connection on a failed intake send), or absorb it in one
+//!    audited, documented helper.
 
 use syn::{Delimiter, TokenStream, TokenTree};
 
