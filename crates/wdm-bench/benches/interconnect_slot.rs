@@ -1,5 +1,5 @@
 //! E8 — whole-interconnect slot latency: distributed O(dk) scheduling vs
-//! the Hopcroft–Karp baseline, sequential vs threaded, as N grows.
+//! the Hopcroft–Karp baseline, as N grows.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -31,16 +31,14 @@ fn slot_workloads(n: usize, count: usize) -> Vec<Vec<ConnectionRequest>> {
         .collect()
 }
 
-fn bench_slot(c: &mut Criterion, name: &str, policy: Policy, threads: usize, sizes: &[usize]) {
+fn bench_slot(c: &mut Criterion, name: &str, policy: Policy, sizes: &[usize]) {
     let conv = Conversion::symmetric_circular(K, 3).expect("valid");
     let mut group = c.benchmark_group(name);
     group.sample_size(20);
     for &n in sizes {
         let workloads = slot_workloads(n, 32);
         group.bench_with_input(BenchmarkId::new("N", n), &workloads, |b, workloads| {
-            let cfg = InterconnectConfig::packet_switch(n, conv)
-                .with_policy(policy)
-                .with_threads(threads);
+            let cfg = InterconnectConfig::packet_switch(n, conv).with_policy(policy);
             let mut ic = Interconnect::new(cfg).expect("valid config");
             let mut i = 0usize;
             b.iter(|| {
@@ -54,9 +52,8 @@ fn bench_slot(c: &mut Criterion, name: &str, policy: Policy, threads: usize, siz
 }
 
 fn benches(c: &mut Criterion) {
-    bench_slot(c, "slot_bfa_seq", Policy::Auto, 1, &[4, 16, 64]);
-    bench_slot(c, "slot_bfa_threads4", Policy::Auto, 4, &[4, 16, 64]);
-    bench_slot(c, "slot_hk_seq", Policy::HopcroftKarp, 1, &[4, 16, 64]);
+    bench_slot(c, "slot_bfa_seq", Policy::Auto, &[4, 16, 64]);
+    bench_slot(c, "slot_hk_seq", Policy::HopcroftKarp, &[4, 16, 64]);
 }
 
 criterion_group!(slot_benches, benches);

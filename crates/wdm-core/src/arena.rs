@@ -19,10 +19,9 @@
 //!
 //! One arena per output fiber. The paper's distributed architecture
 //! partitions requests by destination fiber and schedules each fiber
-//! independently, so the interconnect stores an arena inside each per-fiber
-//! state and `wdm-interconnect`'s `run_per_fiber` hands disjoint chunks of
-//! those states to its worker threads: each worker owns the arenas of the
-//! fibers it schedules, and no arena is ever shared or locked.
+//! independently, so `wdm-interconnect` stores an arena inside each
+//! per-fiber unit: a fiber's scheduler only ever borrows its own arena, and
+//! no arena is shared between fibers.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

@@ -64,138 +64,43 @@ fn high_cut(hi: usize) -> u64 {
     u64::MAX >> (WORD_BITS - 1 - hi % WORD_BITS)
 }
 
-/// The word-level kernels under the bulk mask queries, in two
-/// interchangeable implementations selected by the `simd` cargo feature.
-///
-/// The *scalar* kernels walk the words one at a time; the *wide* kernels
-/// process the interior words in 4-lane chunks with independent
-/// accumulators, the shape LLVM autovectorizes to 256-bit vector popcounts
-/// and OR-reductions on SSE/AVX/NEON targets — all in safe Rust (the
-/// workspace forbids `unsafe`, so no `std::arch` intrinsics). Both take the
-/// *window slice* of backing words with the partial first/last word masks
-/// already computed, and both are kept compiled so the differential tests
-/// can pin them word-for-word bit-identical.
-mod kernels {
-    /// Scalar reference kernels: one word at a time.
-    #[cfg_attr(all(not(test), feature = "simd"), allow(dead_code))]
-    pub(super) mod scalar {
-        /// Total set bits across `words`.
-        pub(crate) fn popcount(words: &[u64]) -> usize {
-            words.iter().map(|w| w.count_ones() as usize).sum()
+/// Set bits across non-empty `words` with `first` ANDed into the first word
+/// and `last` into the last (both into a single word): the popcount under
+/// the window queries, given the window's slice of backing words.
+fn masked_popcount(words: &[u64], first: u64, last: u64) -> usize {
+    let n = words.len();
+    let mut count = 0usize;
+    for (i, &word) in words.iter().enumerate() {
+        let mut word = word;
+        if i == 0 {
+            word &= first;
         }
-
-        /// Set bits across non-empty `words` with `first` ANDed into the
-        /// first word and `last` into the last (both into a single word).
-        pub(crate) fn masked_popcount(words: &[u64], first: u64, last: u64) -> usize {
-            let n = words.len();
-            let mut count = 0usize;
-            for (i, &word) in words.iter().enumerate() {
-                let mut word = word;
-                if i == 0 {
-                    word &= first;
-                }
-                if i == n - 1 {
-                    word &= last;
-                }
-                count += word.count_ones() as usize;
-            }
-            count
+        if i == n - 1 {
+            word &= last;
         }
+        count += word.count_ones() as usize;
+    }
+    count
+}
 
-        /// Lowest set bit position (relative to bit 0 of `words[0]`) under
-        /// the same first/last masking, or `None` if all masked bits are 0.
-        pub(crate) fn first_set(words: &[u64], first: u64, last: u64) -> Option<usize> {
-            let n = words.len();
-            for (i, &word) in words.iter().enumerate() {
-                let mut word = word;
-                if i == 0 {
-                    word &= first;
-                }
-                if i == n - 1 {
-                    word &= last;
-                }
-                if word != 0 {
-                    return Some(i * super::super::WORD_BITS + word.trailing_zeros() as usize);
-                }
-            }
-            None
+/// Lowest set bit position (relative to bit 0 of `words[0]`) under the same
+/// first/last masking as [`masked_popcount`], or `None` if all masked bits
+/// are 0.
+fn first_set(words: &[u64], first: u64, last: u64) -> Option<usize> {
+    let n = words.len();
+    for (i, &word) in words.iter().enumerate() {
+        let mut word = word;
+        if i == 0 {
+            word &= first;
+        }
+        if i == n - 1 {
+            word &= last;
+        }
+        if word != 0 {
+            return Some(i * WORD_BITS + word.trailing_zeros() as usize);
         }
     }
-
-    /// Wide kernels: interior words in 4-lane chunks (`chunks_exact(4)`)
-    /// with per-lane accumulators, partial edge words handled scalar.
-    #[cfg(feature = "simd")]
-    pub(super) mod wide {
-        use super::super::WORD_BITS;
-
-        /// Total set bits across `words`, 4 lanes at a time.
-        pub(crate) fn popcount(words: &[u64]) -> usize {
-            let mut chunks = words.chunks_exact(4);
-            let (mut l0, mut l1, mut l2, mut l3) = (0usize, 0usize, 0usize, 0usize);
-            for c in &mut chunks {
-                l0 += c[0].count_ones() as usize;
-                l1 += c[1].count_ones() as usize;
-                l2 += c[2].count_ones() as usize;
-                l3 += c[3].count_ones() as usize;
-            }
-            let mut total = (l0 + l1) + (l2 + l3);
-            for &w in chunks.remainder() {
-                total += w.count_ones() as usize;
-            }
-            total
-        }
-
-        /// See `scalar::masked_popcount`; interior words go through the
-        /// 4-lane popcount.
-        pub(crate) fn masked_popcount(words: &[u64], first: u64, last: u64) -> usize {
-            let n = words.len();
-            if n == 1 {
-                return (words[0] & first & last).count_ones() as usize;
-            }
-            (words[0] & first).count_ones() as usize
-                + popcount(&words[1..n - 1])
-                + (words[n - 1] & last).count_ones() as usize
-        }
-
-        /// See `scalar::first_set`; interior words are probed 4 at a time
-        /// with a vectorizable OR-reduction before the lane is narrowed.
-        pub(crate) fn first_set(words: &[u64], first: u64, last: u64) -> Option<usize> {
-            let n = words.len();
-            if n == 1 {
-                let word = words[0] & first & last;
-                return (word != 0).then(|| word.trailing_zeros() as usize);
-            }
-            let head = words[0] & first;
-            if head != 0 {
-                return Some(head.trailing_zeros() as usize);
-            }
-            let mut chunks = words[1..n - 1].chunks_exact(4);
-            let mut base = 1usize;
-            for c in &mut chunks {
-                if (c[0] | c[1]) | (c[2] | c[3]) != 0 {
-                    for (lane, &w) in c.iter().enumerate() {
-                        if w != 0 {
-                            return Some((base + lane) * WORD_BITS + w.trailing_zeros() as usize);
-                        }
-                    }
-                }
-                base += 4;
-            }
-            for &w in chunks.remainder() {
-                if w != 0 {
-                    return Some(base * WORD_BITS + w.trailing_zeros() as usize);
-                }
-                base += 1;
-            }
-            let tail = words[n - 1] & last;
-            (tail != 0).then(|| (n - 1) * WORD_BITS + tail.trailing_zeros() as usize)
-        }
-    }
-
-    #[cfg(not(feature = "simd"))]
-    pub(super) use scalar as active;
-    #[cfg(feature = "simd")]
-    pub(super) use wide as active;
+    None
 }
 
 impl ChannelMask {
@@ -292,10 +197,9 @@ impl ChannelMask {
         Ok(())
     }
 
-    /// The number of free channels: a popcount over the words
-    /// (4-lane-chunked under the `simd` feature).
+    /// The number of free channels: a popcount over the words.
     pub fn free_count(&self) -> usize {
-        kernels::active::popcount(&self.words)
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether every channel is free.
@@ -379,7 +283,7 @@ impl ChannelMask {
     pub fn free_in_window(&self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi < self.k, "window [{lo}, {hi}] invalid for k = {}", self.k);
         let (w0, w1) = (lo / WORD_BITS, hi / WORD_BITS);
-        kernels::active::masked_popcount(&self.words[w0..=w1], low_cut(lo), high_cut(hi))
+        masked_popcount(&self.words[w0..=w1], low_cut(lo), high_cut(hi))
     }
 
     /// Whether any channel in the inclusive window `[lo, hi]` is free.
@@ -400,8 +304,7 @@ impl ChannelMask {
     pub fn first_free_in_window(&self, lo: usize, hi: usize) -> Option<usize> {
         assert!(lo <= hi && hi < self.k, "window [{lo}, {hi}] invalid for k = {}", self.k);
         let (w0, w1) = (lo / WORD_BITS, hi / WORD_BITS);
-        kernels::active::first_set(&self.words[w0..=w1], low_cut(lo), high_cut(hi))
-            .map(|bit| w0 * WORD_BITS + bit)
+        first_set(&self.words[w0..=w1], low_cut(lo), high_cut(hi)).map(|bit| w0 * WORD_BITS + bit)
     }
 
     /// The two non-wrapping windows covered by `span` on this mask's ring:
@@ -633,113 +536,5 @@ mod tests {
     fn inverted_window_panics() {
         let m = ChannelMask::all_free(8);
         let _ = m.free_in_window(5, 3);
-    }
-}
-
-/// Scalar-vs-wide kernel differential: with the `simd` feature on, every
-/// kernel must return bit-identical results to the scalar reference on
-/// random word arrays of every length class (empty, single word, chunk
-/// remainders 1–3, multiple full 4-lane chunks) and edge masks.
-#[cfg(all(test, feature = "simd"))]
-mod simd_differential {
-    use super::kernels::{scalar, wide};
-
-    /// Deterministic xorshift64* word stream (no external RNG dependency).
-    struct Words(u64);
-
-    impl Words {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-    }
-
-    /// Word patterns that stress the kernels beyond uniform noise: all-zero
-    /// runs (first_set must skip whole chunks), all-ones, single bits at
-    /// both ends, and raw xorshift words.
-    fn word_for(case: usize, rng: &mut Words) -> u64 {
-        match case % 6 {
-            0 => 0,
-            1 => u64::MAX,
-            2 => 1,
-            3 => 1 << 63,
-            4 => rng.next() & rng.next(), // sparse
-            _ => rng.next(),
-        }
-    }
-
-    fn edge_masks(rng: &mut Words) -> [u64; 5] {
-        [u64::MAX, 1, 1 << 63, 0x00FF_FF00_0000_FFFF, rng.next() | 1]
-    }
-
-    #[test]
-    fn popcount_matches_scalar() {
-        let mut rng = Words(0x9E37_79B9_7F4A_7C15);
-        for len in 0..=13 {
-            for trial in 0..64 {
-                let words: Vec<u64> = (0..len).map(|i| word_for(i + trial, &mut rng)).collect();
-                assert_eq!(
-                    wide::popcount(&words),
-                    scalar::popcount(&words),
-                    "len {len} trial {trial} words {words:#018x?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn masked_popcount_matches_scalar() {
-        let mut rng = Words(0xDEAD_BEEF_CAFE_F00D);
-        for len in 1..=13 {
-            for trial in 0..32 {
-                let words: Vec<u64> = (0..len).map(|i| word_for(i + trial, &mut rng)).collect();
-                for first in edge_masks(&mut rng) {
-                    for last in edge_masks(&mut rng) {
-                        assert_eq!(
-                            wide::masked_popcount(&words, first, last),
-                            scalar::masked_popcount(&words, first, last),
-                            "len {len} first {first:#x} last {last:#x} words {words:#018x?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn first_set_matches_scalar() {
-        let mut rng = Words(0x0123_4567_89AB_CDEF);
-        for len in 1..=13 {
-            for trial in 0..32 {
-                let words: Vec<u64> = (0..len).map(|i| word_for(i + trial, &mut rng)).collect();
-                for first in edge_masks(&mut rng) {
-                    for last in edge_masks(&mut rng) {
-                        assert_eq!(
-                            wide::first_set(&words, first, last),
-                            scalar::first_set(&words, first, last),
-                            "len {len} first {first:#x} last {last:#x} words {words:#018x?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn first_set_skips_zero_chunks() {
-        // 9 interior words of zeros, then a bit: the chunked OR-probe must
-        // not mis-index past the remainder boundary.
-        for hit in 0..11 {
-            let mut words = vec![0u64; 11];
-            words[hit] = 1 << 17;
-            assert_eq!(
-                wide::first_set(&words, u64::MAX, u64::MAX),
-                Some(hit * 64 + 17),
-                "hit word {hit}"
-            );
-        }
-        assert_eq!(wide::first_set(&[0; 11], u64::MAX, u64::MAX), None);
     }
 }

@@ -2,16 +2,15 @@
 //!
 //! Per time slot: in-flight multi-slot connections age (completed ones free
 //! their channels), new requests are partitioned by destination fiber, the
-//! `N` independent per-fiber schedulers run (optionally in parallel —
-//! [`crate::distributed`]), wavelength-level grants are resolved to concrete
-//! requests with round-robin fairness, and the resulting fabric
-//! configuration is checked against the physical datapath model.
+//! `N` independent per-fiber schedulers run one after another,
+//! wavelength-level grants are resolved to concrete requests with
+//! round-robin fairness, and the resulting fabric configuration is checked
+//! against the physical datapath model.
 
 use wdm_attr::hot_path;
 use wdm_core::{ChannelMask, Conversion, Error, Policy};
 
 use crate::connection::{ConnectionRequest, RejectReason, Rejection, SlotResult};
-use crate::distributed::run_per_fiber;
 use crate::fabric::CrossbarState;
 use crate::reservation::{
     PreemptionPolicy, Reservation, ReservationExpiry, ReservationGrant, ReservationRequest,
@@ -45,8 +44,6 @@ pub struct InterconnectConfig {
     pub policy: Policy,
     /// Multi-slot holding policy.
     pub hold: HoldPolicy,
-    /// Worker threads for per-fiber scheduling; `<= 1` runs sequentially.
-    pub threads: usize,
     /// How activating advance reservations meet the slot's cell traffic.
     pub preemption: PreemptionPolicy,
     /// Admission horizon for advance reservations (slots ahead of `now`
@@ -56,14 +53,13 @@ pub struct InterconnectConfig {
 
 impl InterconnectConfig {
     /// A synchronous optical packet switch: Auto policy, non-disturb holds,
-    /// sequential scheduling.
+    /// [`PreemptionPolicy::ReservedFirst`].
     pub fn packet_switch(n: usize, conversion: Conversion) -> InterconnectConfig {
         InterconnectConfig {
             n,
             conversion,
             policy: Policy::Auto,
             hold: HoldPolicy::NonDisturb,
-            threads: 1,
             preemption: PreemptionPolicy::ReservedFirst,
             reservation_horizon: DEFAULT_RESERVATION_HORIZON,
         }
@@ -78,12 +74,6 @@ impl InterconnectConfig {
     /// Sets the holding policy.
     pub fn with_hold(mut self, hold: HoldPolicy) -> Self {
         self.hold = hold;
-        self
-    }
-
-    /// Sets the number of scheduling threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -117,16 +107,15 @@ pub struct DisruptionImpact {
 ///
 /// Each output fiber is a [`FiberUnit`] — the same shard type the
 /// `wdm-serve` daemon runs — owning its arena and reusable buffers, so the
-/// per-slot scheduling loop allocates nothing at steady state.
-/// [`crate::distributed::run_per_fiber`] hands each worker thread a disjoint
-/// chunk of units: a worker owns the arenas of exactly the fibers it
-/// schedules — no sharing, no locks.
+/// per-slot scheduling loop allocates nothing at steady state. A unit's
+/// decisions depend only on its own requests and occupancy, so the slot
+/// loop schedules the units one after another; the paper's hardware runs
+/// them side by side.
 #[derive(Debug, Clone)]
 pub struct Interconnect {
     n: usize,
     conversion: Conversion,
     hold: HoldPolicy,
-    threads: usize,
     fibers: Vec<FiberUnit>,
     slot: u64,
     preemption: PreemptionPolicy,
@@ -158,7 +147,6 @@ impl Interconnect {
             n: config.n,
             conversion: config.conversion,
             hold: config.hold,
-            threads: config.threads,
             fibers,
             slot: 0,
             preemption: config.preemption,
@@ -460,9 +448,9 @@ impl Interconnect {
         }
 
         // 3. The N independent per-fiber schedulers (the paper's
-        //    distributed step), optionally across worker threads. Each
-        //    unit's outcome lands in its own reused buffers, and granted
-        //    connections latch into the unit's active table in place.
+        //    distributed step), fiber by fiber. Each unit's outcome lands
+        //    in its own reused buffers, and granted connections latch into
+        //    the unit's active table in place.
         //    Under ReservedFirst, activating reservations run in a
         //    dedicated first pass, so cell traffic only sees the leftover
         //    channels; the extra pass is skipped entirely on slots with no
@@ -472,14 +460,9 @@ impl Interconnect {
         let reserved_first =
             !self.due.is_empty() && self.preemption == PreemptionPolicy::ReservedFirst;
         if reserved_first {
-            run_per_fiber(
-                &mut self.fibers,
-                &self.resv_per_fiber,
-                self.threads,
-                |_, fiber, candidates| {
-                    let _ = fiber.schedule(hold, candidates);
-                },
-            );
+            for (fiber, candidates) in self.fibers.iter_mut().zip(&self.resv_per_fiber) {
+                let _ = fiber.schedule(hold, candidates);
+            }
             for fiber in &self.fibers {
                 let outcome = fiber.outcome();
                 out.rearranged += outcome.rearranged();
@@ -497,9 +480,9 @@ impl Interconnect {
                 }
             }
         }
-        run_per_fiber(&mut self.fibers, &self.per_fiber, self.threads, |_, fiber, candidates| {
+        for (fiber, candidates) in self.fibers.iter_mut().zip(&self.per_fiber) {
             let _ = fiber.schedule(hold, candidates);
-        });
+        }
 
         // 4. Aggregate the per-fiber outcomes in fiber order. Under
         //    Compete, activating reservations were matched alongside the
@@ -694,38 +677,6 @@ mod tests {
         let rearrange = setup(HoldPolicy::Rearrange);
         assert!(rearrange >= non_disturb);
         assert_eq!(rearrange, 1, "rearrangement can always place the λ1 packet");
-    }
-
-    #[test]
-    fn parallel_and_sequential_schedules_match() {
-        let conv = conv();
-        let mk = |threads: usize| {
-            Interconnect::new(InterconnectConfig::packet_switch(8, conv).with_threads(threads))
-                .unwrap()
-        };
-        let mut seq = mk(1);
-        let mut par = mk(4);
-        // A deterministic multi-slot workload.
-        for slot in 0..50u64 {
-            let requests: Vec<ConnectionRequest> = (0..8)
-                .flat_map(|fiber| {
-                    (0..6).filter_map(move |w| {
-                        let h = fiber * 31 + w * 17 + slot as usize * 7;
-                        h.is_multiple_of(3).then(|| {
-                            ConnectionRequest::burst(
-                                fiber,
-                                w,
-                                (fiber + w + slot as usize) % 8,
-                                1 + (h % 4) as u32,
-                            )
-                        })
-                    })
-                })
-                .collect();
-            let a = seq.advance_slot(&requests).unwrap();
-            let b = par.advance_slot(&requests).unwrap();
-            assert_eq!(a, b, "slot {slot}");
-        }
     }
 
     #[test]

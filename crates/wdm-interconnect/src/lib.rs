@@ -11,15 +11,12 @@
 //!   their range, each channel carries at most one connection;
 //! * [`arbitration`] — resolution of wavelength-level grants to concrete
 //!   input channels with per-(fiber, wavelength) round-robin fairness;
-//! * [`interconnect`] — the top-level slotted switch: distributed
-//!   per-output-fiber scheduling, §V occupied-channel handling for
-//!   connections that hold across slots;
+//! * [`interconnect`] — the top-level slotted switch: the `N` independent
+//!   per-output-fiber schedulers run in one loop per slot, with §V
+//!   occupied-channel handling for connections that hold across slots;
 //! * [`rearrange`] — the §V "existing connections can be disturbed"
 //!   alternative: in-flight connections may move to a different output
 //!   channel but are never dropped;
-//! * [`distributed`] — running the `N` independent per-fiber schedulers
-//!   across worker threads (the paper's distributed claim, exercised for
-//!   real);
 //! * [`shard`] — the per-output-fiber scheduling unit ([`FiberUnit`])
 //!   shared by the offline [`Interconnect`] and the `wdm-serve` daemon's
 //!   destination shards, so both drive the identical decision path;
@@ -36,7 +33,6 @@
 pub mod arbitration;
 pub mod buffered;
 pub mod connection;
-pub mod distributed;
 pub mod fabric;
 pub mod fcfs;
 pub mod interconnect;

@@ -1,6 +1,6 @@
 //! Property tests on the slotted interconnect: for arbitrary multi-slot
 //! workloads, physical and accounting invariants hold at every slot, under
-//! both holding policies and any thread count.
+//! both holding policies.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -36,12 +36,10 @@ fn dedupe_sources(reqs: Vec<ConnectionRequest>) -> Vec<ConnectionRequest> {
     reqs.into_iter().filter(|r| seen.insert((r.src_fiber, r.src_wavelength))).collect()
 }
 
-fn run_and_check(w: &Workload, hold: HoldPolicy, threads: usize) {
+fn run_and_check(w: &Workload, hold: HoldPolicy) {
     let conv = Conversion::circular(w.k, w.e, w.f).unwrap();
-    let cfg = InterconnectConfig::packet_switch(w.n, conv)
-        .with_policy(Policy::Auto)
-        .with_hold(hold)
-        .with_threads(threads);
+    let cfg =
+        InterconnectConfig::packet_switch(w.n, conv).with_policy(Policy::Auto).with_hold(hold);
     let mut ic = Interconnect::new(cfg).unwrap();
     let (mut granted, mut completed) = (0u64, 0u64);
     for slot in &w.slots {
@@ -87,35 +85,12 @@ proptest! {
 
     #[test]
     fn non_disturb_invariants(w in workload()) {
-        run_and_check(&w, HoldPolicy::NonDisturb, 1);
+        run_and_check(&w, HoldPolicy::NonDisturb);
     }
 
     #[test]
     fn rearrange_invariants(w in workload()) {
-        run_and_check(&w, HoldPolicy::Rearrange, 1);
-    }
-
-    #[test]
-    fn threaded_matches_sequential(w in workload()) {
-        let conv = Conversion::circular(w.k, w.e, w.f).unwrap();
-        let mk = |threads: usize| {
-            Interconnect::new(
-                InterconnectConfig::packet_switch(w.n, conv).with_threads(threads),
-            )
-            .unwrap()
-        };
-        let mut seq = mk(1);
-        let mut par = mk(3);
-        for slot in &w.slots {
-            let reqs: Vec<ConnectionRequest> = dedupe_sources(
-                slot.iter()
-                    .map(|&(sf, sw, df, dur)| ConnectionRequest::burst(sf, sw, df, dur))
-                    .collect(),
-            );
-            let a = seq.advance_slot(&reqs).unwrap();
-            let b = par.advance_slot(&reqs).unwrap();
-            prop_assert_eq!(&a, &b);
-        }
+        run_and_check(&w, HoldPolicy::Rearrange);
     }
 
     /// Slot results are insensitive to request ordering within a slot up to

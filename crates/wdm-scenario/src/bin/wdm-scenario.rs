@@ -22,13 +22,12 @@ fn usage() -> &'static str {
 fn describe(plan: &CompiledPlan) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "scenario `{}`: N={} k={} d={} policy={} threads={}\n",
+        "scenario `{}`: N={} k={} d={} policy={}\n",
         plan.name(),
         plan.n(),
         plan.k(),
         plan.conversion().degree(),
         plan.policy().name(),
-        plan.threads(),
     ));
     out.push_str(&format!(
         "run: {} warmup + {} measured slots, seed {}, base load {:.3}\n",

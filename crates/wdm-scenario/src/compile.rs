@@ -94,7 +94,6 @@ pub struct CompiledPlan {
     name: String,
     n: usize,
     k: usize,
-    threads: usize,
     policy: Policy,
     conversion: Conversion,
     warmup: u64,
@@ -119,9 +118,6 @@ impl Scenario {
         let ic = &self.interconnect;
         if ic.n == 0 {
             return Err(invalid("interconnect", "n", "must be at least 1"));
-        }
-        if ic.threads == 0 {
-            return Err(invalid("interconnect", "threads", "must be at least 1"));
         }
         let conversion = build_conversion(ic.kind, ic.k, ic.degree)
             .map_err(|m| invalid("interconnect", "degree", m))?;
@@ -158,7 +154,6 @@ impl Scenario {
             name: self.name.clone(),
             n: ic.n,
             k: ic.k,
-            threads: ic.threads,
             policy: ic.policy,
             conversion,
             warmup: self.run.warmup,
@@ -555,11 +550,6 @@ impl CompiledPlan {
     /// Wavelengths per fiber.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Scheduling worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The baseline scheduling policy.

@@ -86,8 +86,6 @@ pub struct InterconnectSpec {
     pub kind: ConversionKindSpec,
     /// Scheduling policy (default `auto`).
     pub policy: Policy,
-    /// Scheduling worker threads (default 1 = sequential).
-    pub threads: usize,
 }
 
 /// The `[run]` table.
@@ -305,9 +303,8 @@ fn decode_interconnect(table: &TomlTable) -> Result<InterconnectSpec, ScenarioEr
         },
         None => Policy::Auto,
     };
-    let threads = r.optional_usize("threads")?.unwrap_or(1);
     r.finish()?;
-    Ok(InterconnectSpec { n, k, degree, kind, policy, threads })
+    Ok(InterconnectSpec { n, k, degree, kind, policy })
 }
 
 fn decode_run(table: &TomlTable) -> Result<RunSpec, ScenarioError> {
@@ -662,7 +659,6 @@ duration = { model = "deterministic", slots = 1 }
         assert_eq!(s.name, "");
         assert_eq!(s.interconnect.n, 4);
         assert_eq!(s.interconnect.policy, Policy::Auto);
-        assert_eq!(s.interconnect.threads, 1);
         assert_eq!(s.run.warmup, 0);
         assert_eq!(s.traffic.duration, DurationSpec::Deterministic { slots: 1 });
         assert!(s.phases.is_empty() && s.disruptions.is_empty() && s.fallback.is_none());
@@ -691,6 +687,14 @@ duration = { model = "deterministic", slots = 1 }
         assert_eq!(
             Scenario::parse(&doc).unwrap_err(),
             ScenarioError::UnknownField { table: "run".to_owned(), field: "sede".to_owned() }
+        );
+        let doc = MINIMAL.replacen("kind = \"circular\"", "kind = \"circular\"\nthreads = 2", 1);
+        assert_eq!(
+            Scenario::parse(&doc).unwrap_err(),
+            ScenarioError::UnknownField {
+                table: "interconnect".to_owned(),
+                field: "threads".to_owned()
+            }
         );
         let doc = MINIMAL.replacen(
             r#"duration = { model = "deterministic", slots = 1 }"#,
@@ -743,7 +747,6 @@ k = 8
 degree = 5
 kind = "circular"
 policy = "bfa"
-threads = 2
 
 [run]
 warmup = 50

@@ -525,10 +525,8 @@ impl SlotEngine {
     }
 
     /// Applies one scenario disruption event against the live engine,
-    /// before the affected slot is scheduled: converter failures shrink
-    /// the fiber's conversion scheme (dropping in-flight connections the
-    /// narrow range cannot realise), recovery restores the baseline, an
-    /// outage takes the fiber dark, and rejoin brings it back cold.
+    /// before the affected slot is scheduled, through
+    /// [`wdm_sim::scenario::apply_disruption`] (the simulator's own path).
     ///
     /// An outage also cancels every pending reservation booked toward the
     /// dark fiber; each cancelled hold's client is answered *now* with a
@@ -540,44 +538,36 @@ impl SlotEngine {
         event: &DisruptionEvent,
         out: &mut Vec<Reply>,
     ) -> Result<DisruptionImpact, Error> {
-        let slot = self.engine.slot();
-        let impact = match event.change {
-            DisruptionChange::ConverterFailure { conversion, .. } => {
-                self.engine.shrink_conversion(event.fiber, conversion)?
-            }
-            DisruptionChange::ConverterRecovery => self.engine.restore_conversion(event.fiber)?,
-            DisruptionChange::Outage => {
-                let impact = self.engine.fail_fiber(event.fiber)?;
-                let mut cancelled = 0usize;
-                let mut i = 0;
-                while i < self.holds.len() {
-                    if self.holds[i].dst_fiber == event.fiber {
-                        let hold = self.holds.swap_remove(i);
-                        cancelled += 1;
-                        if let Some(trace) = &mut self.trace {
-                            trace.record_release(hold.rid);
-                        }
-                        out.push(Reply {
-                            conn: hold.conn,
-                            id: hold.id,
-                            slot,
-                            verdict: Verdict::Denied {
-                                reason: DenyReason::CapacityExhausted,
-                                retry_after_slots: 0,
-                            },
-                        });
-                    } else {
-                        i += 1;
+        let impact = wdm_sim::scenario::apply_disruption(&mut self.engine, event)?;
+        if matches!(event.change, DisruptionChange::Outage) {
+            let slot = self.engine.slot();
+            let mut cancelled = 0usize;
+            let mut i = 0;
+            while i < self.holds.len() {
+                if self.holds[i].dst_fiber == event.fiber {
+                    let hold = self.holds.swap_remove(i);
+                    cancelled += 1;
+                    if let Some(trace) = &mut self.trace {
+                        trace.record_release(hold.rid);
                     }
+                    out.push(Reply {
+                        conn: hold.conn,
+                        id: hold.id,
+                        slot,
+                        verdict: Verdict::Denied {
+                            reason: DenyReason::CapacityExhausted,
+                            retry_after_slots: 0,
+                        },
+                    });
+                } else {
+                    i += 1;
                 }
-                debug_assert_eq!(
-                    cancelled, impact.cancelled_reservations,
-                    "every ledger cancellation answers exactly one registered hold"
-                );
-                impact
             }
-            DisruptionChange::Rejoin => self.engine.rejoin_fiber(event.fiber)?,
-        };
+            debug_assert_eq!(
+                cancelled, impact.cancelled_reservations,
+                "every ledger cancellation answers exactly one registered hold"
+            );
+        }
         Ok(impact)
     }
 

@@ -40,8 +40,8 @@ pub mod traffic;
 pub use engine::{Report, ReservationSummary, Simulation, SimulationConfig, WarmSummary};
 pub use metrics::{Metrics, SlotObservation};
 pub use scenario::{
-    duration_model, run_scenario, FallbackReport, PhaseReport, ScenarioReport, ScenarioTraffic,
-    WindowStats,
+    apply_disruption, duration_model, run_scenario, FallbackReport, PhaseReport, ScenarioReport,
+    ScenarioTraffic, WindowStats,
 };
 pub use trace::{
     ReplayError, ReplayReport, SessionTrace, TraceConfig, TraceGrant, TraceRequest, TraceSlot,

@@ -11,9 +11,12 @@
 //!   seed (verified by `tests/scenario_differential.rs`), so scenarios are
 //!   a strict superset of the legacy workloads, not a parallel universe.
 //! * [`run_scenario`] — the slot loop: applies the plan's disruption
-//!   timeline to the live [`Interconnect`] (capacity shrink/restore,
-//!   outage/rejoin) exactly at their slots, steps the fallback controller,
-//!   and tallies each measured slot into its phase and disruption window.
+//!   timeline to the live [`Interconnect`] exactly at their slots, steps
+//!   the fallback controller, and tallies each measured slot into its
+//!   phase and disruption window.
+//! * [`apply_disruption`] — one disruption event against a live
+//!   [`Interconnect`] (capacity shrink/restore, outage/rejoin); the
+//!   `wdm-serve` daemon's engine applies its plan through it too.
 
 use std::sync::Arc;
 
@@ -21,8 +24,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use wdm_core::Error;
-use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig, SlotResult};
-use wdm_scenario::{CompiledPlan, DisruptionChange, DurationSpec};
+use wdm_interconnect::{
+    ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig, SlotResult,
+};
+use wdm_scenario::{CompiledPlan, DisruptionChange, DisruptionEvent, DurationSpec};
 
 use crate::engine::WarmSummary;
 use crate::metrics::{Metrics, SlotObservation};
@@ -246,6 +251,26 @@ impl ScenarioReport {
     }
 }
 
+/// Applies one disruption event to a live interconnect, before the
+/// event's slot is scheduled: a converter failure shrinks the fiber's
+/// conversion scheme (dropping in-flight connections the narrow range
+/// cannot realise), recovery restores the baseline, an outage takes the
+/// fiber dark (cancelling the reservations booked toward it), and rejoin
+/// brings it back cold.
+pub fn apply_disruption(
+    interconnect: &mut Interconnect,
+    event: &DisruptionEvent,
+) -> Result<DisruptionImpact, Error> {
+    match event.change {
+        DisruptionChange::ConverterFailure { conversion, .. } => {
+            interconnect.shrink_conversion(event.fiber, conversion)
+        }
+        DisruptionChange::ConverterRecovery => interconnect.restore_conversion(event.fiber),
+        DisruptionChange::Outage => interconnect.fail_fiber(event.fiber),
+        DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber),
+    }
+}
+
 /// Runs a compiled scenario to completion.
 ///
 /// The run is a pure function of the plan: the RNG seeds from
@@ -255,9 +280,8 @@ impl ScenarioReport {
 /// plan is bit-identical.
 pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
     let plan = Arc::new(plan.clone());
-    let config = InterconnectConfig::packet_switch(plan.n(), plan.conversion())
-        .with_policy(plan.policy())
-        .with_threads(plan.threads());
+    let config =
+        InterconnectConfig::packet_switch(plan.n(), plan.conversion()).with_policy(plan.policy());
     let mut interconnect = Interconnect::new(config)?;
     let mut traffic = ScenarioTraffic::new(Arc::clone(&plan));
     let mut rng = StdRng::seed_from_u64(plan.seed());
@@ -289,18 +313,8 @@ pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
         // 1. Disruption timeline: every event planned for this slot lands
         //    before the slot is scheduled.
         while cursor < events.len() && events[cursor].slot == slot {
-            let event = events[cursor];
+            let impact = apply_disruption(&mut interconnect, &events[cursor])?;
             cursor += 1;
-            let impact = match event.change {
-                DisruptionChange::ConverterFailure { conversion, .. } => {
-                    interconnect.shrink_conversion(event.fiber, conversion)?
-                }
-                DisruptionChange::ConverterRecovery => {
-                    interconnect.restore_conversion(event.fiber)?
-                }
-                DisruptionChange::Outage => interconnect.fail_fiber(event.fiber)?,
-                DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber)?,
-            };
             dropped += impact.dropped_connections as u64;
             cancelled += impact.cancelled_reservations as u64;
         }

@@ -1,23 +1,14 @@
-//! Determinism of the parallel experiment layer: a sweep's rows and a
-//! simulation's `Report` must be bit-identical regardless of how many
-//! worker threads computed them.
+//! Determinism of the parallel experiment layer: a sweep's rows must be
+//! bit-identical regardless of how many worker threads computed them.
 //!
-//! Two layers of parallelism are covered:
-//!
-//! * **Inside one interconnect** — `InterconnectConfig::with_threads`
-//!   splits per-fiber scheduling across workers; a full `Simulation` run
-//!   on 1 vs 8 threads must produce the same `Report`.
-//! * **Across grid points** — `run_sweep_with_threads` farms whole grid
-//!   points out to `std::thread::scope` workers; the rows must match the
-//!   sequential `run_sweep` exactly, in grid order, because both derive
-//!   each point's seed with [`point_seed`].
+//! `run_sweep_with_threads` farms whole grid points out to
+//! `std::thread::scope` workers; the rows must match the sequential
+//! `run_sweep` exactly, in grid order, because both derive each point's
+//! seed with [`point_seed`].
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use wdm_core::{Conversion, Policy};
-use wdm_interconnect::{HoldPolicy, InterconnectConfig};
 use wdm_sim::experiment::{point_seed, run_sweep, run_sweep_with_threads, DegreeSpec, SweepConfig};
-use wdm_sim::{BernoulliUniform, DurationModel, Simulation, SimulationConfig};
 
 fn small_sweep() -> SweepConfig {
     let mut config = SweepConfig::uniform_packets(
@@ -56,23 +47,6 @@ fn sequential_and_parallel_sweeps_are_bit_identical() {
             "rows diverged at {threads} worker threads"
         );
     }
-}
-
-#[test]
-fn simulation_report_is_thread_count_invariant() {
-    let conv = Conversion::symmetric_circular(8, 3).unwrap();
-    let sim_config = SimulationConfig { warmup_slots: 50, measure_slots: 500, seed: 42 };
-    let run = |threads: usize| {
-        let ic = InterconnectConfig::packet_switch(4, conv)
-            .with_policy(Policy::Auto)
-            .with_hold(HoldPolicy::NonDisturb)
-            .with_threads(threads);
-        let traffic = BernoulliUniform::new(4, 8, 0.7, DurationModel::Deterministic(1));
-        Simulation::new(ic, traffic, sim_config).unwrap().run().unwrap()
-    };
-    let single = run(1);
-    let eight = run(8);
-    assert_eq!(canonical(&single), canonical(&eight), "Report diverged between 1 and 8 threads");
 }
 
 #[test]

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig};
 use wdm_scenario::{load_plan, CompiledPlan, DisruptionChange};
-use wdm_sim::scenario::{run_scenario, ScenarioTraffic};
+use wdm_sim::scenario::{apply_disruption, run_scenario, ScenarioTraffic};
 use wdm_sim::traffic::{BernoulliUniform, BurstyOnOff, DurationModel, Hotspot, TrafficModel};
 
 const N: usize = 4;
@@ -147,16 +147,7 @@ until = 250
         while cursor < events.len() && events[cursor].slot == slot {
             let event = events[cursor];
             cursor += 1;
-            let impact = match event.change {
-                DisruptionChange::ConverterFailure { conversion, .. } => {
-                    interconnect.shrink_conversion(event.fiber, conversion).unwrap()
-                }
-                DisruptionChange::ConverterRecovery => {
-                    interconnect.restore_conversion(event.fiber).unwrap()
-                }
-                DisruptionChange::Outage => interconnect.fail_fiber(event.fiber).unwrap(),
-                DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber).unwrap(),
-            };
+            let impact = apply_disruption(&mut interconnect, &event).unwrap();
             if slot == 100 {
                 dropped_at_strike = impact.dropped_connections;
                 // Multi-slot geometric holds at load 0.6: the strike must

@@ -21,7 +21,7 @@
 //! | `cargo xtask loom` | exhaustively model-checks the sweep's cursor/slot protocol *and* the daemon's shutdown/drain protocol (every SC interleaving) — stable toolchain, offline |
 //! | `cargo xtask fuzz` | the adversarial wire-decoder harness: structure-aware mutations plus the committed `tests/corpus/` frames, every input must yield a typed `ProtocolError` — stable toolchain, offline |
 //! | `cargo xtask miri` | UB-checks `wdm-core` unit/property tests and the `wdm-alloc-count` `GlobalAlloc` paths — nightly + miri component |
-//! | `cargo xtask tsan` | ThreadSanitizer over the threaded-sweep and determinism tests — nightly + rust-src (`-Zbuild-std`) |
+//! | `cargo xtask tsan` | ThreadSanitizer over the threaded-sweep tests — nightly + rust-src (`-Zbuild-std`) |
 //! | `cargo xtask deny` | `cargo-deny` advisories/licenses/bans against the committed `deny.toml` |
 //! | `cargo xtask soundness` | all five, in that order |
 //!
@@ -156,14 +156,7 @@ fn run_clippy(root: &Path) -> bool {
 fn run_build(root: &Path) -> bool {
     let mut args = vec!["build", "--offline", "--workspace", "--all-targets"];
     args.extend_from_slice(profile_args());
-    if !run_step(root, "build", "cargo", &args) {
-        return false;
-    }
-    // The wide mask kernels only compile under `--features simd`; build them
-    // in the same matrix leg so both kernel sets stay green.
-    let mut simd = vec!["build", "--offline", "-p", "wdm-core", "--features", "simd"];
-    simd.extend_from_slice(profile_args());
-    run_step(root, "build (wdm-core simd)", "cargo", &simd)
+    run_step(root, "build", "cargo", &args)
 }
 
 fn run_tests(root: &Path) -> bool {
@@ -171,15 +164,7 @@ fn run_tests(root: &Path) -> bool {
     // the suite passes through the MatchingCertificate hot-path checks.
     let mut args = vec!["test", "--offline", "--workspace", "--quiet"];
     args.extend_from_slice(profile_args());
-    if !run_step(root, "test", "cargo", &args) {
-        return false;
-    }
-    // Re-run wdm-core's suite with the wide mask kernels active: the
-    // scalar-vs-wide differential tests and the whole mask/scheduler battery
-    // against the vectorized kernels.
-    let mut simd = vec!["test", "--offline", "-p", "wdm-core", "--features", "simd", "--quiet"];
-    simd.extend_from_slice(profile_args());
-    run_step(root, "test (wdm-core simd)", "cargo", &simd)
+    run_step(root, "test", "cargo", &args)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,10 +289,10 @@ fn run_miri(root: &Path) -> bool {
     )
 }
 
-/// ThreadSanitizer: the threaded-sweep and interconnect determinism tests
-/// under `-Zsanitizer=thread`, with std rebuilt (`-Zbuild-std`) so the
-/// runtime is instrumented too. Complements loom: real weak-memory
-/// hardware, unbounded schedules, probabilistic instead of exhaustive.
+/// ThreadSanitizer: the threaded-sweep tests under `-Zsanitizer=thread`,
+/// with std rebuilt (`-Zbuild-std`) so the runtime is instrumented too.
+/// Complements loom: real weak-memory hardware, unbounded schedules,
+/// probabilistic instead of exhaustive.
 fn run_tsan(root: &Path) -> bool {
     if !probe("rustup", &["run", "nightly", "rustc", "--version"]) {
         return skip_or_fail("tsan", "nightly toolchain");
@@ -333,10 +318,6 @@ fn run_tsan(root: &Path) -> bool {
             "wdm-sim",
             "--test",
             "parallel_sweep",
-            "-p",
-            "wdm-interconnect",
-            "--test",
-            "determinism",
         ],
         &[("RUSTFLAGS", rustflags)],
     )

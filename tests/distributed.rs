@@ -1,7 +1,7 @@
 //! E8: the distributed-scheduling claim — per-fiber schedulers are
-//! independent, so threading the slot over workers is observationally
-//! equivalent to the sequential loop, and the hardware pipeline agrees with
-//! the software interconnect.
+//! independent, so one fiber's decisions never depend on another fiber's
+//! traffic, and the hardware pipeline agrees with the software
+//! interconnect.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -34,11 +34,17 @@ fn random_requests(
     reqs
 }
 
-/// Sequential and multi-threaded scheduling must produce *identical*
-/// slot-by-slot results for every policy — the fibers share no state.
+/// Per-fiber isolation: removing all traffic to other fibers does not
+/// change one fiber's decisions, under five schedulers: Auto resolves to
+/// BFA, First Available and the full-range scheduler on the three
+/// conversion kinds, plus the approximation and Hopcroft–Karp.
+///
+/// Each round is one slot on a fresh interconnect. With multi-slot holds
+/// the fibers couple through source-side admission (a held input channel
+/// is busy toward every fiber), so isolation is exact only within a slot.
 #[test]
-fn threaded_equals_sequential_for_all_policies() {
-    let (n, k) = (8, 8);
+fn per_fiber_decisions_are_isolated() {
+    let (n, k) = (6, 6);
     for (conv, policy) in [
         (Conversion::symmetric_circular(k, 3).unwrap(), Policy::Auto),
         (Conversion::symmetric_circular(k, 3).unwrap(), Policy::Approximate),
@@ -46,52 +52,31 @@ fn threaded_equals_sequential_for_all_policies() {
         (Conversion::full(k).unwrap(), Policy::Auto),
         (Conversion::symmetric_circular(k, 3).unwrap(), Policy::HopcroftKarp),
     ] {
-        let mk = |threads| {
-            Interconnect::new(
-                InterconnectConfig::packet_switch(n, conv)
-                    .with_policy(policy)
-                    .with_threads(threads),
-            )
-            .unwrap()
+        let mk = || {
+            Interconnect::new(InterconnectConfig::packet_switch(n, conv).with_policy(policy))
+                .unwrap()
         };
-        let mut seq = mk(1);
-        let mut par = mk(6);
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        for slot in 0..60 {
-            let ra = random_requests(&mut rng_a, n, k, 0.7, 3);
-            let rb = random_requests(&mut rng_b, n, k, 0.7, 3);
-            assert_eq!(ra, rb);
-            let a = seq.advance_slot(&ra).unwrap();
-            let b = par.advance_slot(&rb).unwrap();
-            assert_eq!(a, b, "policy {policy:?} diverged at slot {slot}");
+        let mut rng = StdRng::seed_from_u64(33);
+        for round in 0..50 {
+            let all = random_requests(&mut rng, n, k, 0.8, 1);
+            let target = 2usize;
+            let only: Vec<ConnectionRequest> =
+                all.iter().copied().filter(|r| r.dst_fiber == target).collect();
+
+            let ra = mk().advance_slot(&all).unwrap();
+            let rb = mk().advance_slot(&only).unwrap();
+            let grants_a: Vec<_> =
+                ra.grants.iter().filter(|g| g.request.dst_fiber == target).collect();
+            let grants_b: Vec<_> = rb.grants.iter().collect();
+            assert_eq!(
+                grants_a, grants_b,
+                "{policy:?} round {round}: fiber {target}'s schedule depends only on its own requests"
+            );
+            let losses_a: Vec<_> =
+                ra.rejections.iter().filter(|r| r.request.dst_fiber == target).collect();
+            let losses_b: Vec<_> = rb.rejections.iter().collect();
+            assert_eq!(losses_a, losses_b, "{policy:?} round {round}: fiber {target}'s losses");
         }
-    }
-}
-
-/// Per-fiber isolation: removing all traffic to other fibers does not
-/// change one fiber's decisions.
-#[test]
-fn per_fiber_decisions_are_isolated() {
-    let (n, k) = (6, 6);
-    let conv = Conversion::symmetric_circular(k, 3).unwrap();
-    let mut rng = StdRng::seed_from_u64(33);
-    for _ in 0..50 {
-        let all = random_requests(&mut rng, n, k, 0.8, 1);
-        let target = 2usize;
-        let only: Vec<ConnectionRequest> =
-            all.iter().copied().filter(|r| r.dst_fiber == target).collect();
-
-        let mut ic_all = Interconnect::new(InterconnectConfig::packet_switch(n, conv)).unwrap();
-        let mut ic_only = Interconnect::new(InterconnectConfig::packet_switch(n, conv)).unwrap();
-        let ra = ic_all.advance_slot(&all).unwrap();
-        let rb = ic_only.advance_slot(&only).unwrap();
-        let grants_a: Vec<_> = ra.grants.iter().filter(|g| g.request.dst_fiber == target).collect();
-        let grants_b: Vec<_> = rb.grants.iter().collect();
-        assert_eq!(
-            grants_a, grants_b,
-            "fiber {target}'s schedule depends only on its own requests"
-        );
     }
 }
 
