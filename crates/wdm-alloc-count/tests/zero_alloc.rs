@@ -913,7 +913,8 @@ fn serve_reservation_slot_loop_is_allocation_free() {
 /// a scenario plan strikes a converter failure and a fiber outage before
 /// the window opens and keeps both disruptions (and the engaged
 /// BFA→approx fallback) in force across every measured slot. The
-/// [`wdm_serve::ScenarioRuntime::before_slot`] call rides in the loop —
+/// [`wdm_serve::SlotEngine::apply_scenario`] call, which steps the shared
+/// [`wdm_sim::ScenarioRuntime`], rides in the loop —
 /// after the strike edges, its event cursor peeks past-the-end and the
 /// fallback controller holds its engaged state, so the steady disrupted
 /// slot touches no heap: submissions toward the dark fiber deny, the
@@ -996,7 +997,7 @@ on_disruption = true
 
     let mut engine =
         SlotEngine::new(EngineConfig::new(N, plan.conversion(), plan.policy())).unwrap();
-    let mut rt = ScenarioRuntime::new(std::sync::Arc::clone(&plan), &engine)
+    let mut rt = ScenarioRuntime::new(std::sync::Arc::clone(&plan), engine.interconnect())
         .expect("plan matches the engine topology");
     let mut out = Vec::new();
     let mut rng = Rng(0x5EED_0004);
@@ -1022,11 +1023,11 @@ on_disruption = true
         }
     }
     out.clear();
-    rt.before_slot(&mut engine, 0, &mut out);
+    engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
     grants += engine.run_slot(&mut out).grants;
     for _ in 0..3 {
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
         grants += engine.run_slot(&mut out).grants;
     }
     for dst in 0..N {
@@ -1044,13 +1045,13 @@ on_disruption = true
             }
         }
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
         grants += engine.run_slot(&mut out).grants;
     }
     for _ in 0..WARMUP {
         submit_slot(&mut engine, &mut rng, &mut next_id);
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
         grants += engine.run_slot(&mut out).grants;
     }
     assert!(rt.engaged(), "the fallback must be engaged across the window");
@@ -1065,7 +1066,7 @@ on_disruption = true
     for _ in 0..MEASURED {
         submit_slot(&mut engine, &mut rng, &mut next_id);
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
         grants += engine.run_slot(&mut out).grants;
     }
     ALLOC.trap_backtraces(false);

@@ -401,7 +401,7 @@ fn bench_sweep(smoke: bool) -> Result<SweepBench, String> {
             let ms = start.elapsed().as_secs_f64() * 1_000.0;
             best_ms = best_ms.min(ms);
             rows_identical &=
-                serde_json::to_string(&parallel).map_or(false, |json| json == sequential_json);
+                serde_json::to_string(&parallel).is_ok_and(|json| json == sequential_json);
         }
         threads.push(ThreadBench {
             threads: n,

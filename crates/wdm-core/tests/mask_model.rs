@@ -38,8 +38,8 @@ fn assert_matches_model(mask: &ChannelMask, model: &[bool]) {
     mask.free_prefix_counts_into(&mut prefix_buf);
     assert_eq!(prefix_buf, prefix);
 
-    for w in 0..k {
-        assert_eq!(mask.is_free(w), model[w], "channel {w}");
+    for (w, &free) in model.iter().enumerate() {
+        assert_eq!(mask.is_free(w), free, "channel {w}");
     }
 }
 

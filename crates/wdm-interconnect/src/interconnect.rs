@@ -173,6 +173,12 @@ impl Interconnect {
         &self.conversion
     }
 
+    /// The scheduling policy in force: the configured one until
+    /// [`Self::set_policy_all`] swaps every fiber's at once.
+    pub fn policy(&self) -> Policy {
+        self.fibers.first().map_or(Policy::Auto, FiberUnit::policy)
+    }
+
     /// The current slot number (slots completed so far).
     pub fn slot(&self) -> u64 {
         self.slot
@@ -942,8 +948,10 @@ mod tests {
         let mut ic = Interconnect::new(cfg).unwrap();
         // FA needs non-circular: the all-fiber swap must refuse whole.
         assert!(ic.set_policy_all(Policy::FirstAvailable).is_err());
+        assert_eq!(ic.policy(), Policy::BreakFirstAvailable);
         // BFA → approximation is the degraded-mode pair: always kind-legal.
         ic.set_policy_all(Policy::Approximate).unwrap();
+        assert_eq!(ic.policy(), Policy::Approximate);
         let r = ic.advance_slot(&[ConnectionRequest::packet(0, 2, 0)]).unwrap();
         assert_eq!(r.grants.len(), 1);
         ic.set_policy_all(Policy::BreakFirstAvailable).unwrap();

@@ -459,11 +459,7 @@ impl ReserveTracker {
                 if let Some((sent, duration)) = self.awaiting_activation.remove(id) {
                     stats.grants += 1;
                     let ns = u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    stats
-                        .by_duration
-                        .entry(duration)
-                        .or_insert_with(LatencyHistogram::new)
-                        .record(ns);
+                    stats.by_duration.entry(duration).or_default().record(ns);
                 }
                 Some(0)
             }

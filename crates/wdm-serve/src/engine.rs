@@ -21,13 +21,13 @@
 //! allocations — pinned by the `wdm-alloc-count` regression.
 
 use wdm_attr::{allow_reach, hot_path, panic_free};
-use wdm_core::{Conversion, ConversionKind, Error, Policy};
+use wdm_core::{Conversion, Error, Policy};
 use wdm_interconnect::{
-    ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig, PreemptionPolicy,
-    RejectReason, Rejection, Reservation, ReservationRequest, SlotResult,
-    DEFAULT_RESERVATION_HORIZON,
+    ConnectionRequest, Interconnect, InterconnectConfig, PreemptionPolicy, RejectReason, Rejection,
+    Reservation, ReservationRequest, SlotResult, DEFAULT_RESERVATION_HORIZON,
 };
-use wdm_scenario::{DisruptionChange, DisruptionEvent};
+use wdm_scenario::DisruptionChange;
+use wdm_sim::scenario::ScenarioRuntime;
 use wdm_sim::trace::{SessionTrace, TraceConfig};
 
 use crate::protocol::{DenyReason, ReserveRequest, SubmitRequest};
@@ -179,7 +179,6 @@ struct Hold {
 #[derive(Debug)]
 pub struct SlotEngine {
     engine: Interconnect,
-    policy: Policy,
     queues: ShardQueues<Tagged>,
     // Per-slot scratch, reused across slots (zero allocations at steady
     // state): the drained batch, its (conn, id) tags, the engine result,
@@ -214,31 +213,16 @@ impl SlotEngine {
                 .with_preemption(config.preemption),
         )?;
         let trace = config.record_trace.then(|| {
-            let (e, f) = (config.conversion.e(), config.conversion.f());
-            let mut tc = if config.conversion.is_full() {
-                let mut full = TraceConfig::circular(config.n, k, e, f, config.policy);
-                full.kind = "full".to_owned();
-                full
-            } else {
-                match config.conversion.kind() {
-                    ConversionKind::Circular => {
-                        TraceConfig::circular(config.n, k, e, f, config.policy)
-                    }
-                    ConversionKind::NonCircular => {
-                        TraceConfig::non_circular(config.n, k, e, f, config.policy)
-                    }
-                }
-            };
-            tc.reservation_horizon = config.reservation_horizon;
-            tc.preemption = match config.preemption {
-                PreemptionPolicy::ReservedFirst => "reserved_first".to_owned(),
-                PreemptionPolicy::Compete => "compete".to_owned(),
-            };
-            SessionTrace::new(tc)
+            SessionTrace::new(TraceConfig::new(
+                config.n,
+                &config.conversion,
+                config.policy,
+                config.reservation_horizon,
+                config.preemption,
+            ))
         });
         Ok(SlotEngine {
             engine,
-            policy: config.policy,
             queues: ShardQueues::new(config.n, config.queue_capacity),
             batch: Vec::new(),
             tags: Vec::new(),
@@ -259,9 +243,15 @@ impl SlotEngine {
         self.engine.k()
     }
 
-    /// The scheduling policy.
+    /// The scheduling policy in force.
     pub fn policy(&self) -> Policy {
-        self.policy
+        self.engine.policy()
+    }
+
+    /// The interconnect the engine schedules, read-only (a
+    /// [`ScenarioRuntime`] attaches to it).
+    pub fn interconnect(&self) -> &Interconnect {
+        &self.engine
     }
 
     /// The next slot to run (slots completed so far).
@@ -524,24 +514,27 @@ impl SlotEngine {
         }
     }
 
-    /// Applies one scenario disruption event against the live engine,
-    /// before the affected slot is scheduled, through
-    /// [`wdm_sim::scenario::apply_disruption`] (the simulator's own path).
+    /// Steps a scenario runtime against the live engine, before the slot is
+    /// scheduled: [`ScenarioRuntime::before_slot`] applies the plan's due
+    /// events and fallback decision to the interconnect, given the slot
+    /// clock's `lag_slots`.
     ///
-    /// An outage also cancels every pending reservation booked toward the
-    /// dark fiber; each cancelled hold's client is answered *now* with a
-    /// [`DenyReason::CapacityExhausted`] deny appended to `out` — the
-    /// ledger entry is gone, and a silent cancellation would strand the
-    /// client forever.
-    pub fn apply_disruption(
+    /// An applied outage also cancels every pending reservation booked
+    /// toward the dark fiber; each cancelled hold's client is answered
+    /// *now* with a [`DenyReason::CapacityExhausted`] deny appended to
+    /// `out` — the ledger entry is gone, and a silent cancellation would
+    /// strand the client forever.
+    pub fn apply_scenario(
         &mut self,
-        event: &DisruptionEvent,
+        runtime: &mut ScenarioRuntime,
+        lag_slots: u64,
         out: &mut Vec<Reply>,
-    ) -> Result<DisruptionImpact, Error> {
-        let impact = wdm_sim::scenario::apply_disruption(&mut self.engine, event)?;
-        if matches!(event.change, DisruptionChange::Outage) {
-            let slot = self.engine.slot();
-            let mut cancelled = 0usize;
+    ) -> Result<(), Error> {
+        let cancelled_before = runtime.summary().cancelled_reservations;
+        let slot = self.engine.slot();
+        let mut cancelled = 0usize;
+        let applied = runtime.before_slot(&mut self.engine, lag_slots)?;
+        for event in applied.iter().filter(|e| matches!(e.change, DisruptionChange::Outage)) {
             let mut i = 0;
             while i < self.holds.len() {
                 if self.holds[i].dst_fiber == event.fiber {
@@ -563,21 +556,12 @@ impl SlotEngine {
                     i += 1;
                 }
             }
-            debug_assert_eq!(
-                cancelled, impact.cancelled_reservations,
-                "every ledger cancellation answers exactly one registered hold"
-            );
         }
-        Ok(impact)
-    }
-
-    /// Swaps the scheduling policy on every fiber — the degraded-mode
-    /// fallback path (all-or-nothing, validated against every fiber's
-    /// current conversion kind first; see
-    /// [`Interconnect::set_policy_all`]).
-    pub fn set_policy_all(&mut self, policy: Policy) -> Result<(), Error> {
-        self.engine.set_policy_all(policy)?;
-        self.policy = policy;
+        debug_assert_eq!(
+            cancelled,
+            runtime.summary().cancelled_reservations - cancelled_before,
+            "every ledger cancellation answers exactly one registered hold"
+        );
         Ok(())
     }
 }
@@ -999,10 +983,12 @@ mod tests {
         assert_eq!(e.pending_reservations(), 0);
     }
 
-    #[test]
-    fn mixed_session_trace_replays_bit_identically() {
+    /// Records 40 slots of cell traffic mixed with reservations and
+    /// releases under `preemption`.
+    fn mixed_session(preemption: PreemptionPolicy) -> SessionTrace {
         let conversion = Conversion::symmetric_circular(6, 3).unwrap();
-        let config = EngineConfig::new(4, conversion, Policy::Auto).with_trace();
+        let config =
+            EngineConfig::new(4, conversion, Policy::Auto).with_preemption(preemption).with_trace();
         let mut e = SlotEngine::new(config).unwrap();
         let mut out = Vec::new();
         let mut rid_pool: Vec<u64> = Vec::new();
@@ -1044,9 +1030,25 @@ mod tests {
             out.clear();
             let _ = e.run_slot(&mut out);
         }
-        let trace = e.take_trace().unwrap();
+        e.take_trace().unwrap()
+    }
+
+    #[test]
+    fn mixed_session_trace_replays_bit_identically() {
+        let trace = mixed_session(PreemptionPolicy::ReservedFirst);
         assert!(trace.slots.iter().any(|s| !s.reservation_grants.is_empty()));
         let report = trace.replay().unwrap();
+        assert_eq!(report.slots, 40);
+        assert!(report.reservation_grants > 0);
+    }
+
+    #[test]
+    fn compete_session_round_trips_through_json_and_replays() {
+        let trace = mixed_session(PreemptionPolicy::Compete);
+        assert_eq!(trace.config.preemption, "compete");
+        let back = SessionTrace::from_json(&trace.to_json().unwrap()).unwrap();
+        assert_eq!(back, trace);
+        let report = back.replay().unwrap();
         assert_eq!(report.slots, 40);
         assert!(report.reservation_grants > 0);
     }
@@ -1068,5 +1070,112 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert!(out.iter().all(|r| r.slot == 0));
+    }
+
+    /// A converter failure on fiber 1 over slots 4–8 and an outage of
+    /// fiber 2 over slots 12–16, with the approx fallback engaged while
+    /// either is open.
+    const STORM: &str = r#"
+schema = 1
+name = "daemon-storm"
+
+[interconnect]
+n = 4
+k = 8
+degree = 5
+kind = "circular"
+policy = "bfa"
+
+[run]
+slots = 40
+seed = 9
+
+[traffic]
+load = 0.5
+duration = { model = "deterministic", slots = 2 }
+
+[[disruptions]]
+at = 4
+fiber = 1
+kind = "converter-failure"
+degree = 1
+until = 8
+
+[[disruptions]]
+at = 12
+fiber = 2
+kind = "outage"
+until = 16
+
+[fallback]
+policy = "approx"
+on_disruption = true
+"#;
+
+    #[test]
+    fn outage_answers_every_cancelled_hold() {
+        let plan = std::sync::Arc::new(wdm_scenario::load_plan(STORM).unwrap());
+        let mut engine =
+            SlotEngine::new(EngineConfig::new(plan.n(), plan.conversion(), plan.policy())).unwrap();
+        let mut rt = ScenarioRuntime::new(plan, engine.interconnect()).unwrap();
+        let mut out = Vec::new();
+        // Book two reservations toward fiber 2 (the outage target) and one
+        // toward fiber 3, all starting after the outage at slot 12.
+        for (id, sw, dst) in [(100, 0, 2), (101, 1, 2), (102, 2, 3)] {
+            let reply = engine.reserve(
+                7,
+                ReserveRequest {
+                    id,
+                    src_fiber: 0,
+                    src_wavelength: sw,
+                    dst_fiber: dst,
+                    start_in: 20,
+                    duration: 2,
+                },
+            );
+            assert!(matches!(reply.verdict, Verdict::Reserved { .. }), "{reply:?}");
+        }
+        assert_eq!(engine.pending_reservations(), 3);
+        for _ in 0..12 {
+            out.clear();
+            engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
+            let _ = engine.run_slot(&mut out);
+        }
+        // Slot 12 applies the outage: both fiber-2 holds are cancelled and
+        // answered before the slot's own replies.
+        out.clear();
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
+        let denies: Vec<u64> = out
+            .iter()
+            .filter(|r| {
+                matches!(r.verdict, Verdict::Denied { reason: DenyReason::CapacityExhausted, .. })
+            })
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(denies, vec![100, 101]);
+        assert_eq!(engine.pending_reservations(), 1);
+        assert_eq!(rt.summary().cancelled_reservations, 2);
+        // While dark, cell traffic toward fiber 2 loses output contention.
+        assert!(engine.submit(7, req(1, 0, 0, 2, 1)).is_none());
+        let _ = engine.run_slot(&mut out);
+        let denied = out.iter().any(|r| {
+            r.id == 1
+                && matches!(r.verdict, Verdict::Denied { reason: DenyReason::OutputContention, .. })
+        });
+        assert!(denied, "requests toward a dark fiber must lose contention: {out:?}");
+        // Run through the rejoin at slot 16; the surviving fiber-3 hold
+        // activates at its start slot and the fiber serves traffic again.
+        while engine.slot() < 22 {
+            out.clear();
+            engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
+            let _ = engine.run_slot(&mut out);
+        }
+        assert_eq!(engine.pending_reservations(), 0);
+        out.clear();
+        assert!(engine.submit(7, req(2, 1, 0, 2, 1)).is_none());
+        engine.apply_scenario(&mut rt, 0, &mut out).unwrap();
+        let _ = engine.run_slot(&mut out);
+        let granted = out.iter().any(|r| r.id == 2 && matches!(r.verdict, Verdict::Granted { .. }));
+        assert!(granted, "a rejoined fiber serves traffic: {out:?}");
     }
 }

@@ -15,16 +15,16 @@
 //!   [`wdm_interconnect::Interconnect`], which runs the same
 //!   [`wdm_interconnect::FiberUnit`] shards as every other consumer — the
 //!   steady-state slot loop allocates nothing and a recorded session
-//!   replays bit-for-bit through [`wdm_sim::trace`];
+//!   replays bit-for-bit through [`wdm_sim::trace`]. A scenario plan's
+//!   disruption timeline and degraded-mode fallback reach the engine
+//!   through [`SlotEngine::apply_scenario`], which steps the simulator's
+//!   own [`ScenarioRuntime`] and answers the holds an outage cancelled,
+//!   with no wire-format change;
 //! * [`serve_sync`] — the cross-thread coordination primitives (bounded
 //!   channel, stop flag, shard admission queues) on
 //!   `cfg(loom)`-swappable atomics/mutexes/condvars, exhaustively
 //!   model-checked by `tests/loom_serve.rs` under `cargo xtask loom`; the
 //!   canonical shutdown drain order is documented there;
-//! * [`scenario`] — the scenario runtime: drives a compiled
-//!   `wdm-scenario` plan's disruption timeline (converter failures, fiber
-//!   outages) and degraded-mode policy fallback against the live engine,
-//!   with no wire-format change;
 //! * [`server`] — the daemon: acceptor + per-connection reader threads
 //!   feeding a bounded intake channel, and the coordinator slot loop, which
 //!   writes every grant/deny frame back itself;
@@ -39,7 +39,6 @@ pub mod client;
 pub mod clock;
 pub mod engine;
 pub mod protocol;
-pub mod scenario;
 pub mod serve_sync;
 pub mod server;
 
@@ -49,6 +48,6 @@ pub use engine::{EngineConfig, Reply, SlotEngine, SlotSummary, Verdict};
 pub use protocol::{
     DenyReason, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
-pub use scenario::{ScenarioRuntime, ScenarioSummary};
 pub use server::{Server, ServerConfig, ServerReport};
 pub use wdm_interconnect::PreemptionPolicy;
+pub use wdm_sim::scenario::{ScenarioRuntime, ScenarioSummary};

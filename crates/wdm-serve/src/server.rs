@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use wdm_sim::scenario::{ScenarioRuntime, ScenarioSummary};
 use wdm_sim::trace::SessionTrace;
 
 use crate::clock::SlotClock;
@@ -47,7 +48,6 @@ use crate::engine::{EngineConfig, Reply, SlotEngine, Verdict};
 use crate::protocol::{
     encode_frame, read_frame, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
-use crate::scenario::{ScenarioRuntime, ScenarioSummary};
 use crate::serve_sync::{self, RecvTimeoutError, Sender, StopFlag, TryRecvError};
 
 /// How many in-flight intake events the readers may buffer ahead of the
@@ -169,7 +169,7 @@ impl Server {
         let Server { listener, addr: _, config } = self;
         let mut engine = SlotEngine::new(config.engine)?;
         let mut scenario = match &config.scenario {
-            Some(plan) => Some(ScenarioRuntime::new(Arc::clone(plan), &engine)?),
+            Some(plan) => Some(ScenarioRuntime::new(Arc::clone(plan), engine.interconnect())?),
             None => None,
         };
         let mut writers = Writers::new(Frame::HelloAck {
@@ -201,6 +201,9 @@ impl Server {
         };
         let mut replies: Vec<Reply> = Vec::new();
         let mut stop = false;
+        // An engine error ends the slot loop; the teardown below still runs
+        // before it is returned.
+        let mut failure = None;
 
         'slots: loop {
             // 1. Intake window: admit submissions until the slot boundary.
@@ -252,7 +255,10 @@ impl Server {
             // s is scheduled; replies to outage-cancelled reservations lead
             // the stream.
             if let Some(rt) = scenario.as_mut() {
-                rt.before_slot(&mut engine, clock.lag_slots(), &mut replies);
+                if let Err(e) = engine.apply_scenario(rt, clock.lag_slots(), &mut replies) {
+                    failure = Some(e);
+                    break;
+                }
             }
             let summary = engine.run_slot(&mut replies);
             report.grants += summary.grants as u64;
@@ -293,6 +299,9 @@ impl Server {
             // A reader that panicked held no daemon state; the report is
             // still sound, so keep joining the rest.
             let _ = thread.join();
+        }
+        if let Some(e) = failure {
+            return Err(e.into());
         }
         report.scenario = scenario.map(|rt| rt.summary());
         report.trace = engine.take_trace();

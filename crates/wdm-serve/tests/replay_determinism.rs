@@ -1,6 +1,7 @@
 //! The differential gate: a session served over real TCP, recorded by the
 //! daemon, must replay bit-identically through the offline engine — for
-//! FA (non-circular), BFA, and the approximate policy.
+//! FA (non-circular), BFA, the approximate policy, and full-range
+//! conversion.
 //!
 //! Beyond `SessionTrace::replay`'s internal check, every GRANT frame the
 //! client saw on the wire is matched against the recorded trace at the same
@@ -127,6 +128,11 @@ fn bfa_session_replays_bit_identically() {
 #[test]
 fn approx_session_replays_bit_identically() {
     drive(Policy::Approximate, Conversion::symmetric_circular(K, 3).unwrap());
+}
+
+#[test]
+fn full_range_session_replays_bit_identically() {
+    drive(Policy::Auto, Conversion::full(K).unwrap());
 }
 
 /// A multi-slot session — cell traffic interleaved with advance

@@ -57,13 +57,14 @@ fn print_report(report: &ScenarioReport) {
     println!("{}", window_line("before", &report.before));
     println!("{}", window_line("during", &report.during));
     println!("{}", window_line("after", &report.after));
+    let s = &report.summary;
     println!(
         "disruption impact: {} connections dropped, {} reservations cancelled",
-        report.dropped_connections, report.cancelled_reservations
+        s.dropped_connections, s.cancelled_reservations
     );
     println!(
         "fallback: {} engagements, {} reverts, {} slots engaged",
-        report.fallback.engagements, report.fallback.reverts, report.fallback.engaged_slots
+        s.fallback_engagements, s.fallback_reverts, s.engaged_slots
     );
 }
 

@@ -22,7 +22,9 @@
 //!   (`cargo xtask loom`);
 //! * [`scenario`] — executes a compiled `wdm-scenario` plan: phased load,
 //!   mid-run disruptions (converter failures, fiber outages), degraded-mode
-//!   policy fallback, with per-phase and per-disruption-window breakdowns.
+//!   policy fallback, with per-phase and per-disruption-window breakdowns;
+//!   its [`ScenarioRuntime`] applies the plan at slot boundaries for the
+//!   simulator and the `wdm-serve` daemon alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +42,7 @@ pub mod traffic;
 pub use engine::{Report, ReservationSummary, Simulation, SimulationConfig, WarmSummary};
 pub use metrics::{Metrics, SlotObservation};
 pub use scenario::{
-    apply_disruption, duration_model, run_scenario, FallbackReport, PhaseReport, ScenarioReport,
+    duration_model, run_scenario, PhaseReport, ScenarioReport, ScenarioRuntime, ScenarioSummary,
     ScenarioTraffic, WindowStats,
 };
 pub use trace::{

@@ -2,7 +2,7 @@
 //! end to end — phased workload, mid-run disruptions, degraded-mode policy
 //! fallback — with per-phase and before/during/after-disruption breakdowns.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`ScenarioTraffic`] — a [`TrafficModel`] reading the plan's per-slot
 //!   tables. For a constant-rate, uniform-destination, non-bursty plan its
@@ -10,20 +10,22 @@
 //!   [`BernoulliUniform`](crate::traffic::BernoulliUniform) at the same
 //!   seed (verified by `tests/scenario_differential.rs`), so scenarios are
 //!   a strict superset of the legacy workloads, not a parallel universe.
-//! * [`run_scenario`] — the slot loop: applies the plan's disruption
-//!   timeline to the live [`Interconnect`] exactly at their slots, steps
-//!   the fallback controller, and tallies each measured slot into its
-//!   phase and disruption window.
-//! * [`apply_disruption`] — one disruption event against a live
-//!   [`Interconnect`] (capacity shrink/restore, outage/rejoin); the
-//!   `wdm-serve` daemon's engine applies its plan through it too.
+//! * [`ScenarioRuntime`] — the plan's side of every slot boundary, for the
+//!   simulator and the `wdm-serve` daemon alike: its cursor applies the
+//!   disruption events due at the interconnect's slot, its fallback
+//!   controller swaps the policy, and its [`ScenarioSummary`] counts both.
+//!   The simulator feeds it a lag of 0; the daemon feeds it the slot
+//!   clock's lag and answers the holds an applied outage cancelled.
+//! * [`run_scenario`] — the slot loop: steps the runtime, schedules the
+//!   slot's traffic, and tallies each measured slot into its phase and
+//!   disruption window.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use wdm_core::Error;
+use wdm_core::{Error, Policy};
 use wdm_interconnect::{
     ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig, SlotResult,
 };
@@ -199,17 +201,6 @@ pub struct PhaseReport {
     pub stats: WindowStats,
 }
 
-/// What the degraded-mode fallback controller did over the run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FallbackReport {
-    /// Times the fallback policy engaged.
-    pub engagements: u64,
-    /// Times it reverted to the baseline policy.
-    pub reverts: u64,
-    /// Slots run under the fallback policy (warmup included).
-    pub engaged_slots: u64,
-}
-
 /// The result of a scenario run.
 #[must_use = "a scenario run is pure computation; the report is its only product"]
 #[derive(Debug, Clone, Serialize)]
@@ -236,12 +227,8 @@ pub struct ScenarioReport {
     pub during: WindowStats,
     /// Measured slots after the first strike with no disruption active.
     pub after: WindowStats,
-    /// Live connections dropped by disruption events.
-    pub dropped_connections: u64,
-    /// Pending reservations cancelled by fiber outages.
-    pub cancelled_reservations: u64,
-    /// Degraded-mode fallback activity.
-    pub fallback: FallbackReport,
+    /// What the scenario runtime did over the whole run, warmup included.
+    pub summary: ScenarioSummary,
 }
 
 impl ScenarioReport {
@@ -251,13 +238,131 @@ impl ScenarioReport {
     }
 }
 
+/// What a [`ScenarioRuntime`] did over a run: the disruption edges it
+/// applied, the work they dropped, and the fallback controller's activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[must_use]
+pub struct ScenarioSummary {
+    /// Disruption events applied (strike and recovery edges both count).
+    pub events_applied: usize,
+    /// In-flight connections dropped by converter failures and outages.
+    pub dropped_connections: usize,
+    /// Pending reservations cancelled by outages (the daemon answers each
+    /// one's client with a capacity deny at cancellation time).
+    pub cancelled_reservations: usize,
+    /// Times the fallback controller engaged the degraded policy.
+    pub fallback_engagements: u64,
+    /// Times it reverted to the baseline policy.
+    pub fallback_reverts: u64,
+    /// Slots executed with the fallback policy in force.
+    pub engaged_slots: u64,
+}
+
+/// Drives one [`CompiledPlan`] against a live [`Interconnect`]: a cursor
+/// over the plan's slot-sorted disruption events plus the fallback
+/// controller's engaged/baseline state.
+///
+/// Call [`Self::before_slot`] exactly once per executed slot, immediately
+/// before the slot is scheduled, so a disruption planned for slot `s` is in
+/// force when `s` is scheduled.
+#[derive(Debug)]
+pub struct ScenarioRuntime {
+    plan: Arc<CompiledPlan>,
+    cursor: usize,
+    engaged: bool,
+    /// The policy in force at attach, restored whenever the fallback
+    /// reverts.
+    base_policy: Policy,
+    summary: ScenarioSummary,
+}
+
+impl ScenarioRuntime {
+    /// Attaches a plan to an interconnect. A plan compiled for another
+    /// topology is refused: its events name fibers, and its shrunk
+    /// conversions wavelength counts, that must exist here
+    /// ([`Error::LengthMismatch`] on `n`, [`Error::WavelengthCountMismatch`]
+    /// on `k`).
+    pub fn new(
+        plan: Arc<CompiledPlan>,
+        interconnect: &Interconnect,
+    ) -> Result<ScenarioRuntime, Error> {
+        if plan.n() != interconnect.n() {
+            return Err(Error::LengthMismatch { expected: interconnect.n(), actual: plan.n() });
+        }
+        if plan.k() != interconnect.k() {
+            return Err(Error::WavelengthCountMismatch {
+                expected: interconnect.k(),
+                actual: plan.k(),
+            });
+        }
+        Ok(ScenarioRuntime {
+            plan,
+            cursor: 0,
+            engaged: false,
+            base_policy: interconnect.policy(),
+            summary: ScenarioSummary::default(),
+        })
+    }
+
+    /// What the runtime has done so far.
+    pub fn summary(&self) -> ScenarioSummary {
+        self.summary
+    }
+
+    /// Whether the fallback policy is currently in force.
+    pub fn engaged(&self) -> bool {
+        self.engaged
+    }
+
+    /// Applies everything the plan schedules at (or before) the
+    /// interconnect's current slot: the pending disruption events, then one
+    /// fallback decision given the slot loop's `lag_slots` (0 when the loop
+    /// is the clock). Returns the events just applied, as a slice of the
+    /// plan's timeline.
+    pub fn before_slot(
+        &mut self,
+        interconnect: &mut Interconnect,
+        lag_slots: u64,
+    ) -> Result<&[DisruptionEvent], Error> {
+        let slot = interconnect.slot();
+        let first = self.cursor;
+        while let Some(event) = self.plan.events().get(self.cursor) {
+            if event.slot > slot {
+                break;
+            }
+            let impact = apply_disruption(interconnect, event)?;
+            self.cursor += 1;
+            self.summary.events_applied += 1;
+            self.summary.dropped_connections += impact.dropped_connections;
+            self.summary.cancelled_reservations += impact.cancelled_reservations;
+        }
+        if let Some(rule) = self.plan.fallback() {
+            let load = self.plan.offered_load(slot);
+            let want = rule.decide(self.engaged, load, self.plan.is_disrupted(slot), lag_slots);
+            if want != self.engaged {
+                interconnect.set_policy_all(if want { rule.policy } else { self.base_policy })?;
+                self.engaged = want;
+                if want {
+                    self.summary.fallback_engagements += 1;
+                } else {
+                    self.summary.fallback_reverts += 1;
+                }
+            }
+        }
+        if self.engaged {
+            self.summary.engaged_slots += 1;
+        }
+        Ok(self.plan.events().get(first..self.cursor).unwrap_or_default())
+    }
+}
+
 /// Applies one disruption event to a live interconnect, before the
 /// event's slot is scheduled: a converter failure shrinks the fiber's
 /// conversion scheme (dropping in-flight connections the narrow range
 /// cannot realise), recovery restores the baseline, an outage takes the
 /// fiber dark (cancelling the reservations booked toward it), and rejoin
 /// brings it back cold.
-pub fn apply_disruption(
+fn apply_disruption(
     interconnect: &mut Interconnect,
     event: &DisruptionEvent,
 ) -> Result<DisruptionImpact, Error> {
@@ -274,15 +379,16 @@ pub fn apply_disruption(
 /// Runs a compiled scenario to completion.
 ///
 /// The run is a pure function of the plan: the RNG seeds from
-/// [`CompiledPlan::seed`], disruption events apply at exactly their
-/// planned slots (before the slot is scheduled), and the fallback
-/// controller steps on planned quantities only — so replaying the same
-/// plan is bit-identical.
+/// [`CompiledPlan::seed`], the [`ScenarioRuntime`] applies disruption
+/// events at exactly their planned slots (before the slot is scheduled),
+/// and its fallback controller steps on planned quantities only (lag 0) —
+/// so replaying the same plan is bit-identical.
 pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
     let plan = Arc::new(plan.clone());
     let config =
         InterconnectConfig::packet_switch(plan.n(), plan.conversion()).with_policy(plan.policy());
     let mut interconnect = Interconnect::new(config)?;
+    let mut runtime = ScenarioRuntime::new(Arc::clone(&plan), &interconnect)?;
     let mut traffic = ScenarioTraffic::new(Arc::clone(&plan));
     let mut rng = StdRng::seed_from_u64(plan.seed());
 
@@ -294,13 +400,7 @@ pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
         .collect();
     let (mut before, mut during, mut after) =
         (WindowStats::default(), WindowStats::default(), WindowStats::default());
-    let mut fallback = FallbackReport::default();
-    let (mut dropped, mut cancelled) = (0u64, 0u64);
-
-    let events = plan.events();
-    let first_strike = events.first().map(|e| e.slot);
-    let mut cursor = 0usize;
-    let mut engaged = false;
+    let first_strike = plan.events().first().map(|e| e.slot);
 
     let warmup = plan.warmup();
     let total = plan.total_slots();
@@ -310,39 +410,16 @@ pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
     let mut result = SlotResult::default();
 
     for slot in 0..total {
-        // 1. Disruption timeline: every event planned for this slot lands
-        //    before the slot is scheduled.
-        while cursor < events.len() && events[cursor].slot == slot {
-            let impact = apply_disruption(&mut interconnect, &events[cursor])?;
-            cursor += 1;
-            dropped += impact.dropped_connections as u64;
-            cancelled += impact.cancelled_reservations as u64;
-        }
+        // 1. The plan's disruption events and fallback decision land before
+        //    the slot is scheduled (sim side: no slot lag, the loop is the
+        //    clock).
+        runtime.before_slot(&mut interconnect, 0)?;
 
-        // 2. Degraded-mode controller (sim side: no slot lag, the loop is
-        //    the clock).
-        if let Some(rule) = plan.fallback() {
-            let next = rule.decide(engaged, plan.offered_load(slot), plan.is_disrupted(slot), 0);
-            if next != engaged {
-                let policy = if next { rule.policy } else { plan.policy() };
-                interconnect.set_policy_all(policy)?;
-                if next {
-                    fallback.engagements += 1;
-                } else {
-                    fallback.reverts += 1;
-                }
-                engaged = next;
-            }
-            if engaged {
-                fallback.engaged_slots += 1;
-            }
-        }
-
-        // 3. The slot itself.
+        // 2. The slot itself.
         traffic.generate_into(&mut rng, slot, &mut requests);
         interconnect.advance_slot_into(&requests, &mut result)?;
 
-        // 4. Measurement.
+        // 3. Measurement.
         if slot >= warmup {
             metrics.record_slot(SlotObservation {
                 offered: result.offered(),
@@ -379,9 +456,7 @@ pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
         before,
         during,
         after,
-        dropped_connections: dropped,
-        cancelled_reservations: cancelled,
-        fallback,
+        summary: runtime.summary(),
     })
 }
 
@@ -423,11 +498,10 @@ duration = { model = "deterministic", slots = 1 }
         assert_eq!(report.phases[0].stats.slots, 300);
         assert_eq!(report.before.slots, 300);
         assert_eq!(report.during.slots + report.after.slots, 0);
-        assert_eq!(report.dropped_connections + report.cancelled_reservations, 0);
-        assert_eq!(report.fallback, FallbackReport::default());
+        assert_eq!(report.summary, ScenarioSummary::default());
         assert!(report.metrics.granted() > 0);
         // The windows partition the measured slots exactly.
-        assert_eq!(report.before.offered, report.metrics.offered() as u64);
+        assert_eq!(report.before.offered, report.metrics.offered());
     }
 
     #[test]
@@ -481,10 +555,10 @@ revert_margin = 0.05
             1,
         );
         let report = run_scenario(&plan(&doc)).unwrap();
-        assert_eq!(report.fallback.engagements, 1, "{:?}", report.fallback);
-        assert_eq!(report.fallback.reverts, 1);
+        assert_eq!(report.summary.fallback_engagements, 1, "{:?}", report.summary);
+        assert_eq!(report.summary.fallback_reverts, 1);
         // Engaged exactly during the rush phase (slots 100..200).
-        assert_eq!(report.fallback.engaged_slots, 100);
+        assert_eq!(report.summary.engaged_slots, 100);
         assert_eq!(report.phases.len(), 3);
         assert!(report.phases[1].stats.offered > report.phases[0].stats.offered);
     }
@@ -510,7 +584,7 @@ until = 150
         assert_eq!(a.before, b.before);
         assert_eq!(a.during, b.during);
         assert_eq!(a.after, b.after);
-        assert_eq!(a.dropped_connections, b.dropped_connections);
+        assert_eq!(a.summary, b.summary);
     }
 
     #[test]
@@ -543,5 +617,129 @@ rate = 3.0
             high.offered > low.offered,
             "3x burst-birth rate must offer more: {high:?} vs {low:?}"
         );
+    }
+
+    const STORM: &str = r#"
+schema = 1
+name = "daemon-storm"
+
+[interconnect]
+n = 4
+k = 8
+degree = 5
+kind = "circular"
+policy = "bfa"
+
+[run]
+slots = 40
+seed = 9
+
+[traffic]
+load = 0.5
+duration = { model = "deterministic", slots = 2 }
+
+[[disruptions]]
+at = 4
+fiber = 1
+kind = "converter-failure"
+degree = 1
+until = 8
+
+[[disruptions]]
+at = 12
+fiber = 2
+kind = "outage"
+until = 16
+
+[fallback]
+policy = "approx"
+on_disruption = true
+"#;
+
+    fn interconnect_for(plan: &CompiledPlan) -> Interconnect {
+        let config = InterconnectConfig::packet_switch(plan.n(), plan.conversion())
+            .with_policy(plan.policy());
+        Interconnect::new(config).unwrap()
+    }
+
+    #[test]
+    fn topology_mismatch_is_rejected_at_attach() {
+        let plan = Arc::new(plan(STORM));
+        let conversion = wdm_core::Conversion::symmetric_circular(8, 5).unwrap();
+        let other = Interconnect::new(
+            InterconnectConfig::packet_switch(6, conversion).with_policy(Policy::Auto),
+        )
+        .unwrap();
+        let err = ScenarioRuntime::new(Arc::clone(&plan), &other).unwrap_err();
+        assert!(matches!(err, Error::LengthMismatch { expected: 6, actual: 4 }), "{err}");
+    }
+
+    #[test]
+    fn events_fire_at_their_slots_and_fallback_tracks_disruption() {
+        let plan = Arc::new(plan(STORM));
+        let mut ic = interconnect_for(&plan);
+        let mut rt = ScenarioRuntime::new(Arc::clone(&plan), &ic).unwrap();
+        let mut result = SlotResult::default();
+        for slot in 0..plan.total_slots() {
+            assert_eq!(ic.slot(), slot);
+            rt.before_slot(&mut ic, 0).unwrap();
+            // Degraded policy exactly while a disruption window is open.
+            let in_window = (4..8).contains(&slot) || (12..16).contains(&slot);
+            assert_eq!(rt.engaged(), in_window, "slot {slot}");
+            let expected =
+                if in_window { Policy::Approximate } else { Policy::BreakFirstAvailable };
+            assert_eq!(ic.policy(), expected, "slot {slot}");
+            ic.advance_slot_into(&[], &mut result).unwrap();
+        }
+        let s = rt.summary();
+        assert_eq!(s.events_applied, plan.events().len());
+        assert_eq!(s.fallback_engagements, 2);
+        assert_eq!(s.fallback_reverts, 2);
+        assert_eq!(s.engaged_slots, 8);
+    }
+
+    #[test]
+    fn lag_trigger_engages_without_a_disruption() {
+        let doc = r#"
+schema = 1
+
+[interconnect]
+n = 2
+k = 4
+degree = 3
+kind = "circular"
+policy = "bfa"
+
+[run]
+slots = 10
+seed = 1
+
+[traffic]
+load = 0.2
+duration = { model = "deterministic", slots = 1 }
+
+[fallback]
+policy = "approx"
+lag_threshold = 3
+"#;
+        let plan = Arc::new(plan(doc));
+        let mut ic = interconnect_for(&plan);
+        let mut rt = ScenarioRuntime::new(Arc::clone(&plan), &ic).unwrap();
+        let mut result = SlotResult::default();
+        rt.before_slot(&mut ic, 0).unwrap();
+        assert!(!rt.engaged());
+        ic.advance_slot_into(&[], &mut result).unwrap();
+        rt.before_slot(&mut ic, 5).unwrap();
+        assert!(rt.engaged(), "lag >= threshold engages");
+        ic.advance_slot_into(&[], &mut result).unwrap();
+        rt.before_slot(&mut ic, 1).unwrap();
+        assert!(rt.engaged(), "hysteresis: still lagging, stay engaged");
+        ic.advance_slot_into(&[], &mut result).unwrap();
+        rt.before_slot(&mut ic, 0).unwrap();
+        assert!(!rt.engaged(), "lag cleared, revert");
+        let s = rt.summary();
+        assert_eq!(s.fallback_engagements, 1);
+        assert_eq!(s.fallback_reverts, 1);
+        assert_eq!(s.engaged_slots, 2);
     }
 }

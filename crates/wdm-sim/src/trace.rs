@@ -15,7 +15,7 @@
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
-use wdm_core::{Conversion, Error, Policy};
+use wdm_core::{Conversion, ConversionKind, Error, Policy};
 use wdm_interconnect::{
     ConnectionRequest, Grant, Interconnect, InterconnectConfig, PreemptionPolicy, Reservation,
     ReservationGrant, ReservationRequest, DEFAULT_RESERVATION_HORIZON,
@@ -52,7 +52,15 @@ fn default_horizon() -> u64 {
 }
 
 fn default_preemption() -> String {
-    "reserved_first".to_owned()
+    preemption_name(PreemptionPolicy::default()).to_owned()
+}
+
+/// A preemption policy's spelling in a trace.
+fn preemption_name(preemption: PreemptionPolicy) -> &'static str {
+    match preemption {
+        PreemptionPolicy::ReservedFirst => "reserved_first",
+        PreemptionPolicy::Compete => "compete",
+    }
 }
 
 /// Looks up an optional struct field in a decoded map.
@@ -96,41 +104,43 @@ impl serde::Deserialize for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Describes a circular-conversion engine.
-    pub fn circular(n: usize, k: usize, e: usize, f: usize, policy: Policy) -> TraceConfig {
+    /// Describes an engine of `n` fibers under `conversion` and `policy`,
+    /// with the given reservation horizon and preemption policy.
+    pub fn new(
+        n: usize,
+        conversion: &Conversion,
+        policy: Policy,
+        reservation_horizon: u64,
+        preemption: PreemptionPolicy,
+    ) -> TraceConfig {
+        let kind = if conversion.is_full() {
+            "full"
+        } else {
+            match conversion.kind() {
+                ConversionKind::Circular => "circular",
+                ConversionKind::NonCircular => "non_circular",
+            }
+        };
         TraceConfig {
             n,
-            k,
-            e,
-            f,
-            kind: "circular".to_owned(),
+            k: conversion.k(),
+            e: conversion.e(),
+            f: conversion.f(),
+            kind: kind.to_owned(),
             policy: policy.name().to_owned(),
-            reservation_horizon: default_horizon(),
-            preemption: default_preemption(),
-        }
-    }
-
-    /// Describes a non-circular-conversion engine.
-    pub fn non_circular(n: usize, k: usize, e: usize, f: usize, policy: Policy) -> TraceConfig {
-        TraceConfig {
-            n,
-            k,
-            e,
-            f,
-            kind: "non_circular".to_owned(),
-            policy: policy.name().to_owned(),
-            reservation_horizon: default_horizon(),
-            preemption: default_preemption(),
+            reservation_horizon,
+            preemption: preemption_name(preemption).to_owned(),
         }
     }
 
     /// The preemption policy this trace was recorded under.
     pub fn preemption_policy(&self) -> Result<PreemptionPolicy, Error> {
-        match self.preemption.as_str() {
-            "reserved_first" => Ok(PreemptionPolicy::ReservedFirst),
-            "compete" => Ok(PreemptionPolicy::Compete),
-            other => Err(Error::UnknownPolicy { name: format!("preemption policy `{other}`") }),
-        }
+        [PreemptionPolicy::ReservedFirst, PreemptionPolicy::Compete]
+            .into_iter()
+            .find(|&p| preemption_name(p) == self.preemption)
+            .ok_or_else(|| Error::UnknownPolicy {
+                name: format!("preemption policy `{}`", self.preemption),
+            })
     }
 
     /// The conversion scheme this trace was recorded under.
@@ -644,8 +654,20 @@ impl SessionTrace {
 mod tests {
     use super::*;
 
+    /// A 4-fiber, k = 6, circular d = 3 engine under `policy`.
+    fn circular_config(policy: Policy) -> TraceConfig {
+        let conversion = Conversion::circular(6, 1, 1).unwrap();
+        TraceConfig::new(
+            4,
+            &conversion,
+            policy,
+            DEFAULT_RESERVATION_HORIZON,
+            PreemptionPolicy::ReservedFirst,
+        )
+    }
+
     fn recorded_session(policy: Policy) -> SessionTrace {
-        let config = TraceConfig::circular(4, 6, 1, 1, policy);
+        let config = circular_config(policy);
         let mut engine = config.build_engine().unwrap();
         let mut trace = SessionTrace::new(config);
         for slot in 0..20u64 {
@@ -653,7 +675,7 @@ mod tests {
                 .flat_map(|fiber| {
                     (0..6usize).filter_map(move |w| {
                         let h = fiber * 13 + w * 5 + slot as usize * 11;
-                        (h % 3 == 0).then(|| {
+                        h.is_multiple_of(3).then(|| {
                             ConnectionRequest::burst(fiber, w, (fiber + w) % 4, 1 + (h % 3) as u32)
                         })
                     })
@@ -709,7 +731,7 @@ mod tests {
     }
 
     fn reservation_session() -> SessionTrace {
-        let config = TraceConfig::circular(4, 6, 1, 1, Policy::Auto);
+        let config = circular_config(Policy::Auto);
         let mut engine = config.build_engine().unwrap();
         let mut trace = SessionTrace::new(config);
         for slot in 0..20u64 {
@@ -733,7 +755,8 @@ mod tests {
             let inputs: Vec<ConnectionRequest> = (0..4usize)
                 .filter_map(|fiber| {
                     let h = fiber * 13 + slot as usize * 7;
-                    (h % 2 == 0).then(|| ConnectionRequest::packet(fiber, h % 6, (fiber + 1) % 4))
+                    h.is_multiple_of(2)
+                        .then(|| ConnectionRequest::packet(fiber, h % 6, (fiber + 1) % 4))
                 })
                 .collect();
             let result = engine.advance_slot(&inputs).unwrap();
@@ -800,7 +823,15 @@ mod tests {
 
     #[test]
     fn non_circular_config_builds() {
-        let config = TraceConfig::non_circular(2, 8, 1, 1, Policy::FirstAvailable);
+        let conversion = Conversion::non_circular(8, 1, 1).unwrap();
+        let config = TraceConfig::new(
+            2,
+            &conversion,
+            Policy::FirstAvailable,
+            DEFAULT_RESERVATION_HORIZON,
+            PreemptionPolicy::ReservedFirst,
+        );
+        assert_eq!(config.kind, "non_circular");
         let mut engine = config.build_engine().unwrap();
         let r = engine.advance_slot(&[ConnectionRequest::packet(0, 3, 1)]).unwrap();
         assert_eq!(r.grants.len(), 1);

@@ -18,9 +18,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig};
+use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig, SlotResult};
 use wdm_scenario::{load_plan, CompiledPlan, DisruptionChange};
-use wdm_sim::scenario::{apply_disruption, run_scenario, ScenarioTraffic};
+use wdm_sim::scenario::{run_scenario, ScenarioRuntime, ScenarioTraffic};
 use wdm_sim::traffic::{BernoulliUniform, BurstyOnOff, DurationModel, Hotspot, TrafficModel};
 
 const N: usize = 4;
@@ -103,8 +103,9 @@ fn phase_rates_change_the_stream_only_inside_their_phase() {
     );
 }
 
-/// Replays a plan's disruption timeline against a live interconnect,
-/// checking the state transitions at exactly the planned slots.
+/// Drives a plan's disruption timeline through the [`ScenarioRuntime`]
+/// against a live interconnect, checking the state transitions at exactly
+/// the planned slots.
 #[test]
 fn converter_failure_shrinks_effective_degree_exactly_at_its_slot() {
     let doc = format!(
@@ -117,15 +118,14 @@ degree = 1
 until = 250
 "
     );
-    let p = plan(&doc);
+    let p = Arc::new(plan(&doc));
     let config = InterconnectConfig::packet_switch(p.n(), p.conversion());
     let mut interconnect = Interconnect::new(config).unwrap();
-    let mut traffic = ScenarioTraffic::new(Arc::new(p.clone()));
+    let mut runtime = ScenarioRuntime::new(Arc::clone(&p), &interconnect).unwrap();
+    let mut traffic = ScenarioTraffic::new(Arc::clone(&p));
     let mut rng = StdRng::seed_from_u64(p.seed());
-    let events = p.events();
-    let mut cursor = 0usize;
     let mut requests = Vec::new();
-    let mut result = wdm_interconnect::SlotResult::default();
+    let mut result = SlotResult::default();
     let mut dropped_at_strike = 0usize;
     for slot in 0..p.total_slots() {
         // Before applying this slot's events the fiber still runs the
@@ -144,23 +144,21 @@ until = 250
                 }
             }
         }
-        while cursor < events.len() && events[cursor].slot == slot {
-            let event = events[cursor];
-            cursor += 1;
-            let impact = apply_disruption(&mut interconnect, &event).unwrap();
-            if slot == 100 {
-                dropped_at_strike = impact.dropped_connections;
-                // Multi-slot geometric holds at load 0.6: the strike must
-                // catch off-diagonal in-flight connections, and they are
-                // dropped, never silently kept on a now-infeasible channel.
-                assert!(impact.dropped_connections > 0, "strike caught no active holds");
-            }
+        let dropped_before = runtime.summary().dropped_connections;
+        for event in runtime.before_slot(&mut interconnect, 0).unwrap() {
             // The change is visible the moment it applies.
             let expected = match event.change {
                 DisruptionChange::ConverterFailure { degree, .. } => degree,
                 _ => 3,
             };
             assert_eq!(interconnect.fiber_conversion(event.fiber).unwrap().degree(), expected);
+        }
+        if slot == 100 {
+            dropped_at_strike = runtime.summary().dropped_connections - dropped_before;
+            // Multi-slot geometric holds at load 0.6: the strike must
+            // catch off-diagonal in-flight connections, and they are
+            // dropped, never silently kept on a now-infeasible channel.
+            assert!(dropped_at_strike > 0, "strike caught no active holds");
         }
         traffic.generate_into(&mut rng, slot, &mut requests);
         interconnect.advance_slot_into(&requests, &mut result).unwrap();
@@ -169,7 +167,7 @@ until = 250
         // cannot perform (checked implicitly by advance_slot_into's debug
         // asserts; the drop count above proves the strike pruned).
     }
-    assert_eq!(cursor, events.len(), "both events consumed");
+    assert_eq!(runtime.summary().events_applied, p.events().len(), "both events consumed");
     assert!(dropped_at_strike > 0);
 }
 
@@ -242,7 +240,8 @@ on_disruption = true
     let b = run_scenario(&p).unwrap();
     let to_json = |r: &wdm_sim::scenario::ScenarioReport| serde_json::to_string(r).unwrap();
     assert_eq!(to_json(&a), to_json(&b), "same plan, same bits");
-    assert!(a.dropped_connections > 0 || a.cancelled_reservations > 0 || a.during.slots > 0);
-    assert!(a.fallback.engagements >= 1, "on_disruption fallback must engage");
-    assert_eq!(a.fallback.engagements, a.fallback.reverts, "every engagement reverts");
+    let s = a.summary;
+    assert!(s.dropped_connections > 0 || s.cancelled_reservations > 0 || a.during.slots > 0);
+    assert!(s.fallback_engagements >= 1, "on_disruption fallback must engage");
+    assert_eq!(s.fallback_engagements, s.fallback_reverts, "every engagement reverts");
 }

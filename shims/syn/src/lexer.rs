@@ -153,7 +153,7 @@ impl Lexer {
             self.bump();
             text.push(c);
         }
-        Ok(is_doc.then(|| RawTok::Doc { text, inner, span }))
+        Ok(is_doc.then_some(RawTok::Doc { text, inner, span }))
     }
 
     /// Consumes a (nested) `/* … */` comment. Returns the doc token for
@@ -203,7 +203,7 @@ impl Lexer {
                 }
             }
         }
-        Ok(is_doc.then(|| RawTok::Doc { text, inner, span }))
+        Ok(is_doc.then_some(RawTok::Doc { text, inner, span }))
     }
 
     fn lex_concrete(&mut self, c: char) -> Result<RawTok, Error> {
