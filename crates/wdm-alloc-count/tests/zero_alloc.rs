@@ -479,11 +479,12 @@ fn coherent_sweep_slot_loop_is_allocation_free() {
 
 /// The daemon's steady-state shard slot loop (`SlotEngine::submit` +
 /// `SlotEngine::run_slot`, recording off) must be allocation-free: the
-/// bounded queues, batch/tag buffers, channel index, reply vector, and every
+/// bounded queues, batch/tag buffers, claim table, reply vector, and every
 /// `FiberUnit` arena reach their high-water marks during warmup and are
 /// reused thereafter. The repeated-channels config sends each chosen input
-/// channel twice, toward different destinations, so every slot also runs the
-/// channel index's collision path (one copy admitted, the other source-busy).
+/// channel twice, toward different destinations, so every slot also runs
+/// source admission's collision path (one copy admitted, the other
+/// source-busy).
 ///
 /// Called from the single `#[test]` above — the counters are process-global.
 fn serve_slot_loop_is_allocation_free() {

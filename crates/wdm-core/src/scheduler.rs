@@ -52,6 +52,34 @@ impl Policy {
             Policy::HopcroftKarp => "hk",
         }
     }
+
+    /// The policy/conversion-kind compatibility table: FA needs
+    /// non-circular conversion; BFA and the approximation need circular
+    /// (full range included); Auto and Hopcroft–Karp accept every kind.
+    /// The interconnect checks it whenever a fiber unit is built or changes
+    /// policy or conversion, which makes the per-slot algorithms' own kind
+    /// guards unreachable, and the scenario compiler when it validates a
+    /// plan.
+    pub fn check_conversion(self, conversion: &Conversion) -> Result<(), Error> {
+        let (algorithm, requires) = match (self, conversion.is_circular()) {
+            (Policy::Auto | Policy::HopcroftKarp, _)
+            | (Policy::FirstAvailable, false)
+            | (Policy::BreakFirstAvailable | Policy::Approximate, true) => return Ok(()),
+            (Policy::FirstAvailable, true) => (
+                "First Available",
+                "non-circular conversion (use Break and First Available for circular)",
+            ),
+            (Policy::BreakFirstAvailable, false) => (
+                "Break and First Available",
+                "circular conversion (use First Available for non-circular)",
+            ),
+            (Policy::Approximate, false) => (
+                "single-break approximation",
+                "circular conversion (First Available is already exact and O(k) for non-circular)",
+            ),
+        };
+        Err(Error::UnsupportedConversion { algorithm, requires })
+    }
 }
 
 impl core::fmt::Display for Policy {

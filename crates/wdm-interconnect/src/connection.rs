@@ -83,13 +83,22 @@ pub struct Rejection {
 }
 
 /// The outcome of one time slot.
+///
+/// Each cell verdict names the request it answers by position in the
+/// slot's `requests`: `grant_inputs[i]` for `grants[i]`, and
+/// `rejection_inputs[i]` for `rejections[i]`. Together they name every
+/// position once, so two equal requests are told apart by position.
 #[must_use]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotResult {
     /// Newly granted connections this slot.
     pub grants: Vec<Grant>,
+    /// The position in the slot's requests of each grant's request.
+    pub grant_inputs: Vec<usize>,
     /// Requests rejected this slot.
     pub rejections: Vec<Rejection>,
+    /// The position in the slot's requests of each rejected request.
+    pub rejection_inputs: Vec<usize>,
     /// Connections (granted in earlier slots) that completed at the
     /// *beginning* of this slot, freeing their channels.
     pub completed: usize,

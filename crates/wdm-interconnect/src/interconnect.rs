@@ -1,11 +1,14 @@
 //! The top-level slotted `N×N` interconnect.
 //!
 //! Per time slot: in-flight multi-slot connections age (completed ones free
-//! their channels), new requests are partitioned by destination fiber, the
-//! `N` independent per-fiber schedulers run one after another,
+//! their channels), source admission lets each input channel launch at most
+//! one connection and records which request or due reservation claimed it,
+//! the admitted requests are partitioned by destination fiber, the `N`
+//! independent per-fiber schedulers run one after another,
 //! wavelength-level grants are resolved to concrete requests with
-//! round-robin fairness, and the resulting fabric configuration is checked
-//! against the physical datapath model.
+//! round-robin fairness, each verdict is filed under its channel's claim,
+//! and the resulting fabric configuration is checked against the physical
+//! datapath model.
 
 use wdm_attr::hot_path;
 use wdm_core::{ChannelMask, Conversion, Error, Policy};
@@ -16,7 +19,7 @@ use crate::reservation::{
     PreemptionPolicy, Reservation, ReservationExpiry, ReservationGrant, ReservationRequest,
     ReservationStore, DEFAULT_RESERVATION_HORIZON,
 };
-use crate::shard::FiberUnit;
+use crate::shard::{FiberOutcome, FiberUnit};
 
 /// What happens to in-flight multi-slot connections at scheduling time
 /// (paper §V).
@@ -121,9 +124,9 @@ pub struct Interconnect {
     preemption: PreemptionPolicy,
     /// The advance-reservation capacity ledger (paper §V).
     store: ReservationStore,
-    /// Per-slot scratch: which input channels already carry a connection
-    /// (or claimed a request earlier this slot). Reused across slots.
-    input_busy: Vec<bool>,
+    /// Per-slot scratch: who claimed each input channel (`src_fiber · k +
+    /// src_wavelength`) at source admission. Reused across slots.
+    claims: Vec<Claim>,
     /// Per-slot scratch: requests partitioned by destination fiber.
     per_fiber: Vec<Vec<ConnectionRequest>>,
     /// Per-slot scratch: reservations whose start slot has arrived.
@@ -151,7 +154,7 @@ impl Interconnect {
             slot: 0,
             preemption: config.preemption,
             store: ReservationStore::new(config.n, k, config.reservation_horizon),
-            input_busy: vec![false; config.n * k],
+            claims: vec![Claim::Free; config.n * k],
             per_fiber: vec![Vec::new(); config.n],
             due: Vec::new(),
             resv_per_fiber: vec![Vec::new(); config.n],
@@ -303,7 +306,7 @@ impl Interconnect {
     /// fiber; cumulative warm counters survive.
     pub fn set_policy_all(&mut self, policy: Policy) -> Result<(), Error> {
         for f in &self.fibers {
-            crate::shard::check_policy_kind(f.conversion(), policy)?;
+            policy.check_conversion(f.conversion())?;
         }
         for f in &mut self.fibers {
             match f.set_policy(policy) {
@@ -395,7 +398,9 @@ impl Interconnect {
             r.validate(self.n, k)?;
         }
         out.grants.clear();
+        out.grant_inputs.clear();
         out.rejections.clear();
+        out.rejection_inputs.clear();
         out.rearranged = 0;
         out.reservation_grants.clear();
         out.reservation_expired.clear();
@@ -404,15 +409,16 @@ impl Interconnect {
         //    for this slot's scheduling.
         out.completed = self.fibers.iter_mut().map(FiberUnit::age).sum();
 
-        // 2. Source-side admission: an input channel still carrying an
-        //    earlier connection (or already claimed by an earlier request in
-        //    this same slot) cannot launch a new one. Activating
-        //    reservations claim their input channels ahead of the slot's
-        //    cell traffic — they were admitted in advance.
-        self.input_busy.fill(false);
+        // 2. Source admission: an input channel launches at most one
+        //    connection per slot. A channel still carrying an earlier
+        //    connection launches nothing new; otherwise its first claim
+        //    wins, and activating reservations claim ahead of the slot's
+        //    cell traffic — they were admitted in advance. The claim table
+        //    records each winner, and step 4 files every verdict by it.
+        self.claims.fill(Claim::Free);
         for fiber in &self.fibers {
             for a in fiber.actives() {
-                self.input_busy[a.src_fiber * k + a.src_wavelength] = true;
+                self.claims[a.src_fiber * k + a.src_wavelength] = Claim::Held;
             }
         }
         for bucket in &mut self.per_fiber {
@@ -423,10 +429,10 @@ impl Interconnect {
         }
         self.due.clear();
         self.store.drain_due(self.slot, &mut self.due);
-        for r in &self.due {
+        for (j, r) in self.due.iter().enumerate() {
             let request = r.request.connection();
-            let idx = request.src_fiber * k + request.src_wavelength;
-            if self.input_busy[idx] {
+            let claim = &mut self.claims[request.src_fiber * k + request.src_wavelength];
+            if *claim != Claim::Free {
                 // Timeout expiry: the booked input channel is still held
                 // by an earlier connection that outlived its booking gap.
                 out.reservation_expired.push(ReservationExpiry {
@@ -434,7 +440,7 @@ impl Interconnect {
                     rejection: Rejection { request, reason: RejectReason::SourceBusy },
                 });
             } else {
-                self.input_busy[idx] = true;
+                *claim = Claim::Due(j);
                 match self.preemption {
                     PreemptionPolicy::ReservedFirst => {
                         self.resv_per_fiber[request.dst_fiber].push(request);
@@ -443,12 +449,13 @@ impl Interconnect {
                 }
             }
         }
-        for &r in requests {
-            let idx = r.src_fiber * k + r.src_wavelength;
-            if self.input_busy[idx] {
+        for (i, &r) in requests.iter().enumerate() {
+            let claim = &mut self.claims[r.src_fiber * k + r.src_wavelength];
+            if *claim != Claim::Free {
                 out.rejections.push(Rejection { request: r, reason: RejectReason::SourceBusy });
+                out.rejection_inputs.push(i);
             } else {
-                self.input_busy[idx] = true;
+                *claim = Claim::Request(i);
                 self.per_fiber[r.dst_fiber].push(r);
             }
         }
@@ -462,70 +469,24 @@ impl Interconnect {
         //    channels; the extra pass is skipped entirely on slots with no
         //    due reservation. A workload that books reservations steadily
         //    runs it on most slots: `engine_heavy` books two per slot.
+        // 4. After each pass, file the per-fiber outcomes in fiber order.
+        //    Under Compete the cell pass also holds the due reservations.
         let hold = self.hold;
-        let reserved_first =
-            !self.due.is_empty() && self.preemption == PreemptionPolicy::ReservedFirst;
-        if reserved_first {
+        let any_due = !self.due.is_empty();
+        if any_due && self.preemption == PreemptionPolicy::ReservedFirst {
             for (fiber, candidates) in self.fibers.iter_mut().zip(&self.resv_per_fiber) {
                 let _ = fiber.schedule(hold, candidates);
             }
             for fiber in &self.fibers {
-                let outcome = fiber.outcome();
-                out.rearranged += outcome.rearranged();
-                for g in outcome.grants() {
-                    out.reservation_grants.push(ReservationGrant {
-                        reservation: due_reservation_id(&self.due, &g.request),
-                        grant: *g,
-                    });
-                }
-                for &request in outcome.contention() {
-                    out.reservation_expired.push(ReservationExpiry {
-                        reservation: due_reservation_id(&self.due, &request),
-                        rejection: Rejection { request, reason: RejectReason::OutputContention },
-                    });
-                }
+                self.file_outcome(fiber.outcome(), true, out);
             }
         }
         for (fiber, candidates) in self.fibers.iter_mut().zip(&self.per_fiber) {
             let _ = fiber.schedule(hold, candidates);
         }
-
-        // 4. Aggregate the per-fiber outcomes in fiber order. Under
-        //    Compete, activating reservations were matched alongside the
-        //    cells, so their outcomes are routed back by input channel
-        //    (unique within a slot: source-side admission is exclusive).
-        let route_reservations =
-            !self.due.is_empty() && self.preemption == PreemptionPolicy::Compete;
+        let routed = any_due && self.preemption == PreemptionPolicy::Compete;
         for fiber in &self.fibers {
-            let outcome = fiber.outcome();
-            out.rearranged += outcome.rearranged();
-            if route_reservations {
-                for g in outcome.grants() {
-                    match try_due_reservation_id(&self.due, &g.request) {
-                        Some(id) => out
-                            .reservation_grants
-                            .push(ReservationGrant { reservation: id, grant: *g }),
-                        None => out.grants.push(*g),
-                    }
-                }
-                for &request in outcome.contention() {
-                    let rejection = Rejection { request, reason: RejectReason::OutputContention };
-                    match try_due_reservation_id(&self.due, &request) {
-                        Some(id) => out
-                            .reservation_expired
-                            .push(ReservationExpiry { reservation: id, rejection }),
-                        None => out.rejections.push(rejection),
-                    }
-                }
-            } else {
-                out.grants.extend_from_slice(outcome.grants());
-                out.rejections.extend(
-                    outcome.contention().iter().map(|&request| Rejection {
-                        request,
-                        reason: RejectReason::OutputContention,
-                    }),
-                );
-            }
+            self.file_outcome(fiber.outcome(), routed, out);
         }
 
         debug_assert!(
@@ -537,34 +498,89 @@ impl Interconnect {
             self.due.len(),
             "every due reservation is granted or expired, exactly once"
         );
+        debug_assert_eq!(
+            out.grant_inputs.len() + out.rejection_inputs.len(),
+            requests.len(),
+            "every request is granted or rejected, exactly once"
+        );
         self.slot += 1;
         Ok(())
     }
-}
 
-/// The id of the due reservation activating on `request`'s input channel.
-/// Input channels are claimed exclusively during source-side admission, so
-/// the match is unique within a slot.
-fn try_due_reservation_id(due: &[Reservation], request: &ConnectionRequest) -> Option<u64> {
-    due.iter()
-        .find(|r| {
-            r.request.src_fiber == request.src_fiber
-                && r.request.src_wavelength == request.src_wavelength
-        })
-        .map(|r| r.id)
-}
-
-/// [`try_due_reservation_id`] for outcomes known to be reservations (the
-/// ReservedFirst pass schedules nothing else).
-#[wdm_attr::allow_reach(
-    panic_free,
-    reason = "the ReservedFirst pass schedules only due reservations and input channels are claimed exclusively at admission, so every outcome maps back to exactly one due reservation"
-)]
-fn due_reservation_id(due: &[Reservation], request: &ConnectionRequest) -> u64 {
-    match try_due_reservation_id(due, request) {
-        Some(id) => id,
-        None => unreachable!("ReservedFirst pass outcomes all map back to a due reservation"),
+    /// Files one fiber's outcome into `out` by the claim on each verdict's
+    /// input channel: a due reservation's verdict joins the reservation lists,
+    /// a request's joins the cell lists with the request's position. A pass
+    /// that cannot hold a due reservation (`routed` false) answers requests
+    /// only, so its verdicts are copied in bulk and their positions gathered.
+    #[wdm_attr::allow_reach(
+        panic_free,
+        reason = "a fiber schedules only candidates that won their input channel at source admission, so every verdict's channel carries a Due or Request claim, and a pass that cannot hold a due reservation holds Request claims only"
+    )]
+    fn file_outcome(&self, outcome: &FiberOutcome, routed: bool, out: &mut SlotResult) {
+        let k = self.k();
+        let claim = |r: &ConnectionRequest| self.claims[r.src_fiber * k + r.src_wavelength];
+        out.rearranged += outcome.rearranged();
+        if !routed {
+            let position = |r: &ConnectionRequest| match claim(r) {
+                Claim::Request(i) => i,
+                Claim::Free | Claim::Held | Claim::Due(_) => {
+                    unreachable!("a cell pass holds cells")
+                }
+            };
+            out.grants.extend_from_slice(outcome.grants());
+            out.grant_inputs.extend(outcome.grants().iter().map(|g| position(&g.request)));
+            out.rejections.extend(
+                outcome
+                    .contention()
+                    .iter()
+                    .map(|&request| Rejection { request, reason: RejectReason::OutputContention }),
+            );
+            out.rejection_inputs.extend(outcome.contention().iter().map(position));
+            return;
+        }
+        for g in outcome.grants() {
+            match claim(&g.request) {
+                Claim::Request(i) => {
+                    out.grants.push(*g);
+                    out.grant_inputs.push(i);
+                }
+                Claim::Due(j) => {
+                    out.reservation_grants
+                        .push(ReservationGrant { reservation: self.due[j].id, grant: *g });
+                }
+                Claim::Free | Claim::Held => {
+                    unreachable!("a granted candidate claimed its channel")
+                }
+            }
+        }
+        for &request in outcome.contention() {
+            let rejection = Rejection { request, reason: RejectReason::OutputContention };
+            match claim(&request) {
+                Claim::Request(i) => {
+                    out.rejections.push(rejection);
+                    out.rejection_inputs.push(i);
+                }
+                Claim::Due(j) => {
+                    out.reservation_expired
+                        .push(ReservationExpiry { reservation: self.due[j].id, rejection });
+                }
+                Claim::Free | Claim::Held => unreachable!("a losing candidate claimed its channel"),
+            }
+        }
     }
+}
+
+/// Who launches on an input channel this slot, as source admission decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// Nothing launches on the channel.
+    Free,
+    /// An in-flight connection still carries the channel.
+    Held,
+    /// The due reservation at this index of the slot's due list.
+    Due(usize),
+    /// The request at this position of the slot's requests.
+    Request(usize),
 }
 
 #[cfg(test)]
@@ -650,6 +666,9 @@ mod tests {
             .unwrap();
         assert_eq!(r.grants.len(), 1);
         assert_eq!(r.source_busy_losses(), 1);
+        // The first request won the channel; each verdict names its own.
+        assert_eq!(r.grant_inputs, [0]);
+        assert_eq!(r.rejection_inputs, [1]);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   their range, each channel carries at most one connection;
 //! * [`arbitration`] — resolution of wavelength-level grants to concrete
 //!   input channels with per-(fiber, wavelength) round-robin fairness;
-//! * [`interconnect`] — the top-level slotted switch: the `N` independent
-//!   per-output-fiber schedulers run in one loop per slot, with §V
-//!   occupied-channel handling for connections that hold across slots;
+//! * [`interconnect`] — the top-level slotted switch: source admission
+//!   lets each input channel launch at most one connection per slot, the
+//!   `N` independent per-output-fiber schedulers run in one loop per slot,
+//!   with §V occupied-channel handling for connections that hold across
+//!   slots, and each verdict names the position of the request it answers;
 //! * [`rearrange`] — the §V "existing connections can be disturbed"
 //!   alternative: in-flight connections may move to a different output
 //!   channel but are never dropped;

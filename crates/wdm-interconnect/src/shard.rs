@@ -21,8 +21,7 @@
 
 use wdm_attr::{allow_reach, hot_path};
 use wdm_core::{
-    ChannelMask, Conversion, ConversionKind, Error, FiberScheduler, Policy, RequestVector,
-    ScratchArena,
+    ChannelMask, Conversion, Error, FiberScheduler, Policy, RequestVector, ScratchArena,
 };
 
 use crate::arbitration::GrantResolver;
@@ -115,7 +114,7 @@ impl FiberUnit {
         if n == 0 {
             return Err(Error::ZeroFibers);
         }
-        check_policy_kind(&conversion, policy)?;
+        policy.check_conversion(&conversion)?;
         let k = conversion.k();
         Ok(FiberUnit {
             n,
@@ -200,7 +199,7 @@ impl FiberUnit {
     /// the next slot repairs from scratch while cumulative warm counters
     /// survive the swap.
     pub fn set_conversion(&mut self, conversion: Conversion) -> Result<usize, Error> {
-        check_policy_kind(&conversion, self.policy())?;
+        self.policy().check_conversion(&conversion)?;
         self.scheduler.set_conversion(conversion)?;
         self.conversion = conversion;
         let before = self.actives.len();
@@ -210,10 +209,11 @@ impl FiberUnit {
 
     /// Swaps the scheduling policy mid-run — the degraded-mode fallback
     /// path. Rejects a policy the current conversion kind cannot support
-    /// (the same matrix [`Self::new`] enforces); on success warm-start
-    /// state is invalidated while the cumulative counters survive.
+    /// ([`Policy::check_conversion`], as [`Self::new`] does); on success
+    /// warm-start state is invalidated while the cumulative counters
+    /// survive.
     pub fn set_policy(&mut self, policy: Policy) -> Result<(), Error> {
-        check_policy_kind(&self.conversion, policy)?;
+        policy.check_conversion(&self.conversion)?;
         self.scheduler.set_policy(policy);
         Ok(())
     }
@@ -386,48 +386,6 @@ fn expect_validated<T, E>(result: Result<T, E>, invariant: &'static str) -> T {
     match result {
         Ok(v) => v,
         Err(_) => unreachable!("{invariant}"),
-    }
-}
-
-/// The policy/conversion-kind compatibility matrix (mirrors the guards
-/// inside the per-slot algorithms, which this check makes unreachable):
-/// FA needs non-circular; BFA and the approximation need circular (full
-/// range included); Auto and Hopcroft–Karp accept everything.
-pub(crate) fn check_policy_kind(conversion: &Conversion, policy: Policy) -> Result<(), Error> {
-    match policy {
-        Policy::Auto | Policy::HopcroftKarp => Ok(()),
-        Policy::FirstAvailable => {
-            if conversion.kind() == ConversionKind::NonCircular {
-                Ok(())
-            } else {
-                Err(Error::UnsupportedConversion {
-                    algorithm: "First Available",
-                    requires:
-                        "non-circular conversion (use Break and First Available for circular)",
-                })
-            }
-        }
-        Policy::BreakFirstAvailable => {
-            if conversion.is_full() || conversion.kind() == ConversionKind::Circular {
-                Ok(())
-            } else {
-                Err(Error::UnsupportedConversion {
-                    algorithm: "Break and First Available",
-                    requires: "circular conversion (use First Available for non-circular)",
-                })
-            }
-        }
-        Policy::Approximate => {
-            if conversion.is_full() || conversion.kind() == ConversionKind::Circular {
-                Ok(())
-            } else {
-                Err(Error::UnsupportedConversion {
-                    algorithm: "single-break approximation",
-                    requires:
-                        "circular conversion (First Available is already exact and O(k) for non-circular)",
-                })
-            }
-        }
     }
 }
 

@@ -1,13 +1,15 @@
 //! Property tests on the slotted interconnect: for arbitrary multi-slot
 //! workloads, physical and accounting invariants hold at every slot, under
-//! both holding policies.
+//! both holding policies, and every cell verdict names the position of the
+//! request it answers.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
 use wdm_core::{Conversion, Policy};
 use wdm_interconnect::{
-    ConnectionRequest, HoldPolicy, Interconnect, InterconnectConfig, RejectReason,
+    ConnectionRequest, HoldPolicy, Interconnect, InterconnectConfig, PreemptionPolicy,
+    RejectReason, ReservationRequest, SlotResult,
 };
 
 /// A generated multi-slot workload on an n-fiber, k-wavelength switch.
@@ -31,6 +33,35 @@ fn workload() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// Per slot, reservations to book before it runs: (src_fiber,
+/// src_wavelength, dst_fiber, lead, duration).
+type Bookings = Vec<Vec<(usize, usize, usize, u64, u32)>>;
+
+/// A workload plus per-slot reservation bookings.
+fn booked_workload() -> impl Strategy<Value = (Workload, Bookings)> {
+    workload().prop_flat_map(|w| {
+        let booking = (0..w.n, 0..w.k, 0..w.n, 0u64..4, 1u32..4);
+        let per_slot = proptest::collection::vec(booking, 0..3);
+        let slots = w.slots.len();
+        (Just(w), proptest::collection::vec(per_slot, slots))
+    })
+}
+
+/// The positions a slot reports together name each index of `requests`
+/// exactly once, and each names a request equal to its verdict's.
+fn check_positions(requests: &[ConnectionRequest], result: &SlotResult) {
+    assert_eq!(result.grant_inputs.len(), result.grants.len());
+    assert_eq!(result.rejection_inputs.len(), result.rejections.len());
+    let mut named = vec![0u32; requests.len()];
+    let grants = result.grants.iter().map(|g| g.request).zip(&result.grant_inputs);
+    let rejections = result.rejections.iter().map(|r| r.request).zip(&result.rejection_inputs);
+    for (request, &i) in grants.chain(rejections) {
+        assert_eq!(requests[i], request, "position {i} names another request");
+        named[i] += 1;
+    }
+    assert!(named.iter().all(|&times| times == 1), "times each position is named: {named:?}");
+}
+
 fn dedupe_sources(reqs: Vec<ConnectionRequest>) -> Vec<ConnectionRequest> {
     let mut seen = std::collections::HashSet::new();
     reqs.into_iter().filter(|r| seen.insert((r.src_fiber, r.src_wavelength))).collect()
@@ -51,6 +82,7 @@ fn run_and_check(w: &Workload, hold: HoldPolicy) {
         let result = ic.advance_slot(&reqs).unwrap();
         // Accounting: every request is granted or rejected exactly once.
         assert_eq!(result.offered(), reqs.len());
+        check_positions(&reqs, &result);
         granted += result.grants.len() as u64;
         completed += result.completed as u64;
         // Physical validity of the full fabric state.
@@ -91,6 +123,44 @@ proptest! {
     #[test]
     fn rearrange_invariants(w in workload()) {
         run_and_check(&w, HoldPolicy::Rearrange);
+    }
+
+    /// Positions hold on batches that repeat input channels (every other
+    /// request again toward the next fiber, the first one again unchanged),
+    /// among activating reservations, under both preemption and both
+    /// holding policies.
+    #[test]
+    fn verdict_positions_name_each_request_once((w, bookings) in booked_workload()) {
+        let conv = Conversion::circular(w.k, w.e, w.f).unwrap();
+        for preemption in [PreemptionPolicy::ReservedFirst, PreemptionPolicy::Compete] {
+            for hold in [HoldPolicy::NonDisturb, HoldPolicy::Rearrange] {
+                let cfg = InterconnectConfig::packet_switch(w.n, conv)
+                    .with_hold(hold)
+                    .with_preemption(preemption);
+                let mut ic = Interconnect::new(cfg).unwrap();
+                for (slot, booked) in w.slots.iter().zip(&bookings) {
+                    for &(src_fiber, src_wavelength, dst_fiber, lead, duration) in booked {
+                        let start_slot = ic.slot() + lead;
+                        let request = ReservationRequest {
+                            src_fiber, src_wavelength, dst_fiber, start_slot, duration,
+                        };
+                        let _ = ic.reserve(request);
+                    }
+                    let mut reqs: Vec<ConnectionRequest> = slot
+                        .iter()
+                        .map(|&(sf, sw, df, dur)| ConnectionRequest::burst(sf, sw, df, dur))
+                        .collect();
+                    let again = reqs.iter().step_by(2).map(|r| ConnectionRequest {
+                        dst_fiber: (r.dst_fiber + 1) % w.n,
+                        ..*r
+                    });
+                    let again: Vec<ConnectionRequest> = again.chain(reqs.first().copied()).collect();
+                    reqs.extend(again);
+                    let result = ic.advance_slot(&reqs).unwrap();
+                    check_positions(&reqs, &result);
+                }
+            }
+        }
     }
 
     /// Slot results are insensitive to request ordering within a slot up to

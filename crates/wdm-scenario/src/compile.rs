@@ -16,7 +16,7 @@
 //! `wdm-loadgen` driving a live daemon see bit-identical workloads by
 //! construction.
 
-use wdm_core::{Conversion, ConversionKind, Policy};
+use wdm_core::{Conversion, Policy};
 
 use crate::error::ScenarioError;
 use crate::model::{
@@ -121,7 +121,7 @@ impl Scenario {
         }
         let conversion = build_conversion(ic.kind, ic.k, ic.degree)
             .map_err(|m| invalid("interconnect", "degree", m))?;
-        if !policy_supported(&conversion, ic.policy) {
+        if ic.policy.check_conversion(&conversion).is_err() {
             return Err(invalid(
                 "interconnect",
                 "policy",
@@ -198,18 +198,6 @@ fn build_conversion(
         ConversionKindSpec::None => Conversion::none(k),
     };
     built.map_err(|e| e.to_string())
-}
-
-/// Mirror of the interconnect's policy/kind compatibility matrix, applied
-/// at compile time so a scenario fails at `validate` instead of mid-run.
-fn policy_supported(conversion: &Conversion, policy: Policy) -> bool {
-    match policy {
-        Policy::Auto | Policy::HopcroftKarp => true,
-        Policy::FirstAvailable => conversion.kind() == ConversionKind::NonCircular,
-        Policy::BreakFirstAvailable | Policy::Approximate => {
-            conversion.is_full() || conversion.kind() == ConversionKind::Circular
-        }
-    }
 }
 
 fn validate_traffic(s: &Scenario) -> Result<(), ScenarioError> {
@@ -471,7 +459,7 @@ fn build_fallback(
     }
     // The fallback policy may engage while a fiber runs a degraded scheme,
     // so it must be legal for the baseline AND every shrunk conversion.
-    if !policy_supported(baseline, f.policy) {
+    if f.policy.check_conversion(baseline).is_err() {
         return Err(invalid(
             "fallback",
             "policy",
@@ -483,7 +471,7 @@ fn build_fallback(
     }
     for e in events {
         if let DisruptionChange::ConverterFailure { conversion, degree } = &e.change {
-            if !policy_supported(conversion, f.policy) {
+            if f.policy.check_conversion(conversion).is_err() {
                 return Err(invalid(
                     "fallback",
                     "policy",

@@ -23,7 +23,7 @@
 use wdm_attr::{allow_reach, hot_path, panic_free};
 use wdm_core::{Conversion, Error, Policy};
 use wdm_interconnect::{
-    ConnectionRequest, Interconnect, InterconnectConfig, PreemptionPolicy, RejectReason, Rejection,
+    ConnectionRequest, Interconnect, InterconnectConfig, PreemptionPolicy, RejectReason,
     Reservation, ReservationRequest, SlotResult, DEFAULT_RESERVATION_HORIZON,
 };
 use wdm_scenario::DisruptionChange;
@@ -181,12 +181,11 @@ pub struct SlotEngine {
     engine: Interconnect,
     queues: ShardQueues<Tagged>,
     // Per-slot scratch, reused across slots (zero allocations at steady
-    // state): the drained batch, its (conn, id) tags, the engine result,
-    // and the channel index that maps each verdict back to its tag.
+    // state): the drained batch, its (conn, id) tags, and the engine
+    // result, whose verdicts name their batch positions.
     batch: Vec<ConnectionRequest>,
     tags: Vec<(u64, u64)>,
     result: SlotResult,
-    index: ChannelIndex,
     // Admitted-but-not-yet-activated reservations. An entry leaves the
     // map exactly once — at activation (grant or expiry), at an
     // owner-checked release, or when a fiber outage cancels the booking
@@ -227,7 +226,6 @@ impl SlotEngine {
             batch: Vec::new(),
             tags: Vec::new(),
             result: SlotResult::default(),
-            index: ChannelIndex::new(config.n, k),
             holds: Vec::new(),
             trace,
         })
@@ -315,23 +313,17 @@ impl SlotEngine {
                 verdict: Verdict::Denied { reason, retry_after_slots: retry },
             })
         };
-        let (n, k) = (self.engine.n(), self.engine.k());
-        let (src_fiber, src_wavelength, dst_fiber) =
-            (req.src_fiber as usize, req.src_wavelength as usize, req.dst_fiber as usize);
-        if src_fiber >= n || dst_fiber >= n || src_wavelength >= k || req.duration == 0 {
+        let request = ConnectionRequest {
+            src_fiber: req.src_fiber as usize,
+            src_wavelength: req.src_wavelength as usize,
+            dst_fiber: req.dst_fiber as usize,
+            duration: req.duration,
+        };
+        if request.validate(self.engine.n(), self.engine.k()).is_err() {
             return deny(DenyReason::InvalidRequest, 0);
         }
-        let tagged = Tagged {
-            conn,
-            id: req.id,
-            request: ConnectionRequest {
-                src_fiber,
-                src_wavelength,
-                dst_fiber,
-                duration: req.duration,
-            },
-        };
-        match self.queues.try_admit(dst_fiber, tagged) {
+        let tagged = Tagged { conn, id: req.id, request };
+        match self.queues.try_admit(request.dst_fiber, tagged) {
             Ok(()) => None,
             Err(AdmitRejection::InvalidShard(_)) => deny(DenyReason::InvalidRequest, 0),
             // Queues drain fully every slot, so "one slot" is exact.
@@ -351,23 +343,17 @@ impl SlotEngine {
             slot,
             verdict: Verdict::Denied { reason, retry_after_slots: 0 },
         };
-        let (n, k) = (self.engine.n(), self.engine.k());
-        let (src_fiber, src_wavelength, dst_fiber) =
-            (req.src_fiber as usize, req.src_wavelength as usize, req.dst_fiber as usize);
-        if src_fiber >= n || dst_fiber >= n || src_wavelength >= k || req.duration == 0 {
-            return deny(DenyReason::InvalidRequest);
-        }
         let start_slot = slot.saturating_add(u64::from(req.start_in));
         let request = ReservationRequest {
-            src_fiber,
-            src_wavelength,
-            dst_fiber,
+            src_fiber: req.src_fiber as usize,
+            src_wavelength: req.src_wavelength as usize,
+            dst_fiber: req.dst_fiber as usize,
             start_slot,
             duration: req.duration,
         };
         match self.engine.reserve(request) {
             Ok(rid) => {
-                self.holds.push(Hold { rid, conn, id: req.id, dst_fiber });
+                self.holds.push(Hold { rid, conn, id: req.id, dst_fiber: request.dst_fiber });
                 if let Some(trace) = &mut self.trace {
                     trace.record_reservation(Reservation { id: rid, request });
                 }
@@ -380,6 +366,7 @@ impl SlotEngine {
             }
             Err(Error::ReservationHorizonExceeded { .. }) => deny(DenyReason::HorizonExceeded),
             Err(Error::ReservationCapacityExhausted { .. }) => deny(DenyReason::CapacityExhausted),
+            // The ledger validates the fields before anything else.
             Err(_) => deny(DenyReason::InvalidRequest),
         }
     }
@@ -422,7 +409,6 @@ impl SlotEngine {
             self.engine.advance_slot_into(&self.batch, &mut self.result),
             "submit() validated every queued request",
         );
-        self.index.link(&self.batch, &self.result.rejections);
         // Activated reservations lead the grant stream: under the default
         // ReservedFirst preemption they were scheduled first, and keeping
         // one fixed stream order makes replays deterministic either way.
@@ -442,8 +428,8 @@ impl SlotEngine {
             reservation_grants += 1;
         }
         let mut grants = 0usize;
-        for (seq, g) in self.result.grants.iter().enumerate() {
-            let (conn, id) = tag_of(&self.tags, self.index.claim_admitted(&self.batch, &g.request));
+        for (seq, (g, &i)) in self.result.grants.iter().zip(&self.result.grant_inputs).enumerate() {
+            let (conn, id) = tag_of(&self.tags, i);
             let output_wavelength = expect_invariant(
                 u32::try_from(g.output_wavelength),
                 "k fits in u32 (checked at construction)",
@@ -460,17 +446,12 @@ impl SlotEngine {
             grants += 1;
         }
         let mut denies = 0usize;
-        for r in &self.result.rejections {
-            let (entry, reason) = match r.reason {
-                RejectReason::SourceBusy => {
-                    (self.index.claim_busy(&self.batch, &r.request), DenyReason::SourceBusy)
-                }
-                RejectReason::OutputContention => (
-                    self.index.claim_admitted(&self.batch, &r.request),
-                    DenyReason::OutputContention,
-                ),
+        for (r, &i) in self.result.rejections.iter().zip(&self.result.rejection_inputs) {
+            let reason = match r.reason {
+                RejectReason::SourceBusy => DenyReason::SourceBusy,
+                RejectReason::OutputContention => DenyReason::OutputContention,
             };
-            let (conn, id) = tag_of(&self.tags, entry);
+            let (conn, id) = tag_of(&self.tags, i);
             out.push(Reply {
                 conn,
                 id,
@@ -596,132 +577,16 @@ fn claim_hold(holds: &mut Vec<Hold>, reservation: u64) -> (u64, u64) {
     (hold.conn, hold.id)
 }
 
-/// The (conn, id) tag of the batch entry a verdict claimed. Exhaustive: the
-/// engine answers every admitted request exactly once per slot.
+/// The (conn, id) tag of the batch entry at `position`, which a verdict
+/// answers.
 #[allow_reach(
     panic_free,
-    reason = "tags is filled in step with the batch every slot and the engine answers every admitted request exactly once, each claim finding its entry by the admission invariant ChannelIndex documents; an unmatched reply is unrecoverable state corruption"
+    reason = "tags is filled in step with the batch every slot, and the interconnect reports each verdict's position in that batch; a position past it is unrecoverable state corruption"
 )]
-fn tag_of(tags: &[(u64, u64)], entry: Option<usize>) -> (u64, u64) {
-    match entry.and_then(|i| tags.get(i)) {
+fn tag_of(tags: &[(u64, u64)], position: usize) -> (u64, u64) {
+    match tags.get(position) {
         Some(&tag) => tag,
         None => unreachable!("engine replied to a request that was never admitted"),
-    }
-}
-
-/// End of a chain in [`ChannelIndex`].
-const NIL: usize = usize::MAX;
-
-/// The slot's drained batch indexed by input channel (`src_fiber * k +
-/// src_wavelength`), so each verdict finds the batch entry it answers in
-/// O(1).
-///
-/// Source admission in [`Interconnect::advance_slot_into`] lets at most one
-/// request per input channel through per slot: the channel's first batch
-/// entry, unless an earlier connection or an activating reservation holds
-/// the channel. So a grant or an output-contention deny answers its
-/// channel's first entry, and every other entry on the channel is a
-/// source-busy deny, listed in batch order. Entries are unlinked as they
-/// are claimed, and the tables are reused across slots.
-#[derive(Debug)]
-struct ChannelIndex {
-    k: usize,
-    /// Per input channel: the first unclaimed batch entry, or [`NIL`].
-    /// Valid only for the channels of the current batch.
-    head: Vec<usize>,
-    /// Per input channel: the admitted first entry lost output contention
-    /// and still awaits its deny, so source-busy claims pass over it.
-    lost: Vec<bool>,
-    /// Per batch entry: the next entry on its channel, or [`NIL`].
-    next: Vec<usize>,
-}
-
-impl ChannelIndex {
-    fn new(n: usize, k: usize) -> ChannelIndex {
-        ChannelIndex { k, head: vec![NIL; n * k], lost: vec![false; n * k], next: Vec::new() }
-    }
-
-    fn channel(&self, request: &ConnectionRequest) -> usize {
-        request.src_fiber * self.k + request.src_wavelength
-    }
-
-    /// Chains every batch entry onto its input channel in batch order, and
-    /// marks the channels whose admitted entry lost output contention.
-    fn link(&mut self, batch: &[ConnectionRequest], rejections: &[Rejection]) {
-        for r in batch {
-            let c = self.channel(r);
-            if let (Some(head), Some(lost)) = (self.head.get_mut(c), self.lost.get_mut(c)) {
-                *head = NIL;
-                *lost = false;
-            }
-        }
-        self.next.clear();
-        self.next.resize(batch.len(), NIL);
-        // Prepending in reverse batch order leaves each chain in batch order.
-        for (i, r) in batch.iter().enumerate().rev() {
-            let c = self.channel(r);
-            if let (Some(head), Some(next)) = (self.head.get_mut(c), self.next.get_mut(i)) {
-                *next = *head;
-                *head = i;
-            }
-        }
-        for r in rejections {
-            if r.reason == RejectReason::OutputContention {
-                let c = self.channel(&r.request);
-                if let Some(lost) = self.lost.get_mut(c) {
-                    *lost = true;
-                }
-            }
-        }
-    }
-
-    /// Claims the entry admission let through on `request`'s channel, which
-    /// a grant or an output-contention deny answers: the channel's first
-    /// unclaimed entry. `None` when that entry does not carry `request`.
-    fn claim_admitted(
-        &mut self,
-        batch: &[ConnectionRequest],
-        request: &ConnectionRequest,
-    ) -> Option<usize> {
-        let c = self.channel(request);
-        let first = *self.head.get(c)?;
-        if batch.get(first)? != request {
-            return None;
-        }
-        *self.head.get_mut(c)? = *self.next.get(first)?;
-        *self.lost.get_mut(c)? = false;
-        Some(first)
-    }
-
-    /// Claims the first unclaimed entry carrying `request` that admission
-    /// turned away, which a source-busy deny answers. It passes over an
-    /// admitted entry whose contention deny is still to come.
-    fn claim_busy(
-        &mut self,
-        batch: &[ConnectionRequest],
-        request: &ConnectionRequest,
-    ) -> Option<usize> {
-        let c = self.channel(request);
-        // `prev` holds the link to `cur`; `None` means the channel head.
-        let (mut prev, mut cur) = (None, *self.head.get(c)?);
-        if *self.lost.get(c)? {
-            prev = Some(cur);
-            cur = *self.next.get(cur)?;
-        }
-        while cur != NIL {
-            let after = *self.next.get(cur)?;
-            if batch.get(cur)? == request {
-                let link = match prev {
-                    Some(p) => self.next.get_mut(p)?,
-                    None => self.head.get_mut(c)?,
-                };
-                *link = after;
-                return Some(cur);
-            }
-            prev = Some(cur);
-            cur = after;
-        }
-        None
     }
 }
 
@@ -1045,8 +910,9 @@ mod tests {
     #[test]
     fn compete_session_round_trips_through_json_and_replays() {
         let trace = mixed_session(PreemptionPolicy::Compete);
-        assert_eq!(trace.config.preemption, "compete");
-        let back = SessionTrace::from_json(&trace.to_json().unwrap()).unwrap();
+        let json = trace.to_json().unwrap();
+        assert!(json.contains(r#""preemption": "compete""#), "{json}");
+        let back = SessionTrace::from_json(&json).unwrap();
         assert_eq!(back, trace);
         let report = back.replay().unwrap();
         assert_eq!(report.slots, 40);

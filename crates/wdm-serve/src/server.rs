@@ -237,9 +237,12 @@ impl Server {
             if engine.pending() == 0 && engine.pending_reservations() == 0 && clock.free_running() {
                 // Free-run advances time only when there is work: slots are
                 // work units, so in-flight connections age one slot per
-                // executed slot — timing can never leak into the trace. A
-                // pending reservation counts as work: its start slot must
-                // arrive, so slots keep executing until it activates.
+                // executed slot. A pending reservation counts as work: its
+                // start slot must arrive, so slots keep executing until it
+                // activates, without waiting for a client's next batch. So
+                // timing stays out of the trace only in sessions without
+                // reservations; a session with one records a trace that
+                // replays but may differ from run to run.
                 writers.write_dirty();
                 match in_rx.recv_timeout(IDLE_PARK) {
                     Ok(ev) => handle_in(ev, &mut engine, &mut writers, &mut report, &mut stop),

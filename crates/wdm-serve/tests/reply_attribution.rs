@@ -3,7 +3,7 @@
 //! activating reservations, and every verdict must reach the request it
 //! decides. The load generators never put two requests on one input
 //! channel in a slot, so this battery is what reaches the collision path
-//! of the engine's channel index.
+//! of source admission, whose positions the engine maps to tags.
 //!
 //! Each slot, one [`SlotEngine`] and one bare [`Interconnect`] configured
 //! identically see the same reservations and the same drained batch, and:

@@ -24,35 +24,23 @@ use wdm_interconnect::{
 /// The engine configuration a trace was recorded under — everything needed
 /// to rebuild an identical [`Interconnect`] offline.
 ///
-/// `Deserialize` is hand-written: the reservation fields default when
-/// absent so pre-reservation (protocol v1 era) traces still parse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Serialization is hand-written: the conversion is spelled as `k`, `e`,
+/// `f` and a `kind` of `"circular"`, `"non_circular"` or `"full"`, the
+/// enums by their short names, and the reservation fields default when
+/// absent so pre-reservation (protocol v1 era) traces still parse. An
+/// unknown name or an invalid conversion is a deserialization error.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Number of input = output fibers (`N`).
     pub n: usize,
-    /// Wavelengths per fiber (`k`).
-    pub k: usize,
-    /// Wavelengths convertible on the "minus" side.
-    pub e: usize,
-    /// Wavelengths convertible on the "plus" side.
-    pub f: usize,
-    /// Conversion kind: `"circular"`, `"non_circular"`, or `"full"`.
-    pub kind: String,
-    /// Scheduling policy short name ([`Policy::name`]).
-    pub policy: String,
-    /// Advance-reservation admission horizon in slots (defaults keep
-    /// pre-reservation traces parseable).
+    /// The conversion scheme.
+    pub conversion: Conversion,
+    /// Scheduling policy, spelled by [`Policy::name`].
+    pub policy: Policy,
+    /// Advance-reservation admission horizon in slots.
     pub reservation_horizon: u64,
-    /// Preemption policy short name: `"reserved_first"` or `"compete"`.
-    pub preemption: String,
-}
-
-fn default_horizon() -> u64 {
-    DEFAULT_RESERVATION_HORIZON
-}
-
-fn default_preemption() -> String {
-    preemption_name(PreemptionPolicy::default()).to_owned()
+    /// Preemption policy, spelled `"reserved_first"` or `"compete"`.
+    pub preemption: PreemptionPolicy,
 }
 
 /// A preemption policy's spelling in a trace.
@@ -63,42 +51,79 @@ fn preemption_name(preemption: PreemptionPolicy) -> &'static str {
     }
 }
 
-/// Looks up an optional struct field in a decoded map.
-fn optional_field<'v>(
-    entries: &'v [(String, serde::Value)],
-    name: &str,
-) -> Option<&'v serde::Value> {
-    entries.iter().find(|(key, _)| key == name).map(|(_, value)| value)
+/// A [`TraceConfig`] deserialization error.
+fn config_error(message: impl fmt::Display) -> serde::DeError {
+    serde::DeError::message(format!("{message} while deserializing TraceConfig"))
 }
 
-impl serde::Deserialize for TraceConfig {
+/// A required field of a hand-decoded struct.
+fn required<T: Deserialize>(
+    entries: &[(String, serde::Value)],
+    name: &str,
+    type_name: &str,
+) -> Result<T, serde::DeError> {
+    T::from_value(serde::struct_field(entries, name, type_name)?)
+}
+
+/// An optional field of a hand-decoded struct: `None` when absent.
+fn optional<T: Deserialize>(
+    entries: &[(String, serde::Value)],
+    name: &str,
+) -> Result<Option<T>, serde::DeError> {
+    entries.iter().find(|(key, _)| key == name).map(|(_, value)| T::from_value(value)).transpose()
+}
+
+impl Serialize for TraceConfig {
+    fn to_value(&self) -> serde::Value {
+        let c = &self.conversion;
+        let kind = match (c.is_full(), c.kind()) {
+            (true, _) => "full",
+            (false, ConversionKind::Circular) => "circular",
+            (false, ConversionKind::NonCircular) => "non_circular",
+        };
+        let field = |name: &str, value: serde::Value| (name.to_owned(), value);
+        serde::Value::Map(vec![
+            field("n", self.n.to_value()),
+            field("k", c.k().to_value()),
+            field("e", c.e().to_value()),
+            field("f", c.f().to_value()),
+            field("kind", kind.to_value()),
+            field("policy", self.policy.name().to_value()),
+            field("reservation_horizon", self.reservation_horizon.to_value()),
+            field("preemption", preemption_name(self.preemption).to_value()),
+        ])
+    }
+}
+
+impl Deserialize for TraceConfig {
     fn from_value(value: &serde::Value) -> Result<TraceConfig, serde::DeError> {
         let Some(entries) = value.as_map() else {
             return Err(serde::DeError::expected("map", "TraceConfig", value));
         };
+        let field = |name| required(entries, name, "TraceConfig");
+        let (k, e, f) = (field("k")?, field("e")?, field("f")?);
+        let conversion = match required::<String>(entries, "kind", "TraceConfig")?.as_str() {
+            "circular" => Conversion::circular(k, e, f),
+            "non_circular" => Conversion::non_circular(k, e, f),
+            "full" => Conversion::full(k),
+            other => return Err(config_error(format_args!("unknown conversion kind `{other}`"))),
+        };
+        let preemption = match optional::<String>(entries, "preemption")?.as_deref() {
+            None => PreemptionPolicy::default(),
+            Some(text) => [PreemptionPolicy::ReservedFirst, PreemptionPolicy::Compete]
+                .into_iter()
+                .find(|&p| preemption_name(p) == text)
+                .ok_or_else(|| config_error(format_args!("unknown preemption policy `{text}`")))?,
+        };
         Ok(TraceConfig {
-            n: serde::Deserialize::from_value(serde::struct_field(entries, "n", "TraceConfig")?)?,
-            k: serde::Deserialize::from_value(serde::struct_field(entries, "k", "TraceConfig")?)?,
-            e: serde::Deserialize::from_value(serde::struct_field(entries, "e", "TraceConfig")?)?,
-            f: serde::Deserialize::from_value(serde::struct_field(entries, "f", "TraceConfig")?)?,
-            kind: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "kind",
-                "TraceConfig",
-            )?)?,
-            policy: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "policy",
-                "TraceConfig",
-            )?)?,
-            reservation_horizon: optional_field(entries, "reservation_horizon")
-                .map(serde::Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_else(default_horizon),
-            preemption: optional_field(entries, "preemption")
-                .map(serde::Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_else(default_preemption),
+            n: field("n")?,
+            conversion: conversion.map_err(config_error)?,
+            policy: required::<String>(entries, "policy", "TraceConfig")?
+                .parse::<Policy>()
+                .map_err(config_error)?,
+            reservation_horizon: optional(entries, "reservation_horizon")?
+                .unwrap_or(DEFAULT_RESERVATION_HORIZON),
+            preemption,
         })
     }
 }
@@ -113,55 +138,16 @@ impl TraceConfig {
         reservation_horizon: u64,
         preemption: PreemptionPolicy,
     ) -> TraceConfig {
-        let kind = if conversion.is_full() {
-            "full"
-        } else {
-            match conversion.kind() {
-                ConversionKind::Circular => "circular",
-                ConversionKind::NonCircular => "non_circular",
-            }
-        };
-        TraceConfig {
-            n,
-            k: conversion.k(),
-            e: conversion.e(),
-            f: conversion.f(),
-            kind: kind.to_owned(),
-            policy: policy.name().to_owned(),
-            reservation_horizon,
-            preemption: preemption_name(preemption).to_owned(),
-        }
-    }
-
-    /// The preemption policy this trace was recorded under.
-    pub fn preemption_policy(&self) -> Result<PreemptionPolicy, Error> {
-        [PreemptionPolicy::ReservedFirst, PreemptionPolicy::Compete]
-            .into_iter()
-            .find(|&p| preemption_name(p) == self.preemption)
-            .ok_or_else(|| Error::UnknownPolicy {
-                name: format!("preemption policy `{}`", self.preemption),
-            })
-    }
-
-    /// The conversion scheme this trace was recorded under.
-    pub fn conversion(&self) -> Result<Conversion, Error> {
-        match self.kind.as_str() {
-            "circular" => Conversion::circular(self.k, self.e, self.f),
-            "non_circular" => Conversion::non_circular(self.k, self.e, self.f),
-            "full" => Conversion::full(self.k),
-            other => Err(Error::UnknownPolicy { name: format!("conversion kind `{other}`") }),
-        }
+        TraceConfig { n, conversion: *conversion, policy, reservation_horizon, preemption }
     }
 
     /// Builds a fresh offline engine matching this configuration.
     pub fn build_engine(&self) -> Result<Interconnect, Error> {
-        let conversion = self.conversion()?;
-        let policy: Policy = self.policy.parse()?;
         Interconnect::new(
-            InterconnectConfig::packet_switch(self.n, conversion)
-                .with_policy(policy)
+            InterconnectConfig::packet_switch(self.n, self.conversion)
+                .with_policy(self.policy)
                 .with_reservation_horizon(self.reservation_horizon)
-                .with_preemption(self.preemption_policy()?),
+                .with_preemption(self.preemption),
         )
     }
 }
@@ -306,35 +292,17 @@ pub struct TraceSlot {
     pub reservation_grants: Vec<TraceReservationGrant>,
 }
 
-impl serde::Deserialize for TraceSlot {
+impl Deserialize for TraceSlot {
     fn from_value(value: &serde::Value) -> Result<TraceSlot, serde::DeError> {
         let Some(entries) = value.as_map() else {
             return Err(serde::DeError::expected("map", "TraceSlot", value));
         };
         Ok(TraceSlot {
-            slot: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "slot",
-                "TraceSlot",
-            )?)?,
-            inputs: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "inputs",
-                "TraceSlot",
-            )?)?,
-            grants: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "grants",
-                "TraceSlot",
-            )?)?,
-            reservations: optional_field(entries, "reservations")
-                .map(serde::Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            reservation_grants: optional_field(entries, "reservation_grants")
-                .map(serde::Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
+            slot: required(entries, "slot", "TraceSlot")?,
+            inputs: required(entries, "inputs", "TraceSlot")?,
+            grants: required(entries, "grants", "TraceSlot")?,
+            reservations: optional(entries, "reservations")?.unwrap_or_default(),
+            reservation_grants: optional(entries, "reservation_grants")?.unwrap_or_default(),
         })
     }
 }
@@ -370,16 +338,8 @@ impl Deserialize for SessionTrace {
             return Err(serde::DeError::expected("map", "SessionTrace", value));
         };
         Ok(SessionTrace {
-            config: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "config",
-                "SessionTrace",
-            )?)?,
-            slots: serde::Deserialize::from_value(serde::struct_field(
-                entries,
-                "slots",
-                "SessionTrace",
-            )?)?,
+            config: required(entries, "config", "SessionTrace")?,
+            slots: required(entries, "slots", "SessionTrace")?,
             pending_reservations: Vec::new(),
         })
     }
@@ -726,8 +686,42 @@ mod tests {
     #[test]
     fn bad_config_is_setup_error() {
         let mut trace = recorded_session(Policy::Auto);
-        trace.config.policy = "nonsense".to_owned();
+        trace.config.policy = Policy::FirstAvailable;
         assert!(matches!(trace.replay(), Err(ReplayError::Setup(_))));
+    }
+
+    #[test]
+    fn config_json_spells_names_and_rejects_unknown_ones() {
+        let json = serde_json::to_string(&circular_config(Policy::BreakFirstAvailable)).unwrap();
+        let names = r#""kind":"circular","policy":"bfa","reservation_horizon":1024,"preemption":"reserved_first"}"#;
+        assert!(json.ends_with(names), "{json}");
+        for (good, bad) in [("circular", "ring"), ("bfa", "nonsense"), ("reserved_first", "first")]
+        {
+            let json = json.replace(&format!("\"{good}\""), &format!("\"{bad}\""));
+            let err = serde_json::from_str::<TraceConfig>(&json).unwrap_err();
+            assert!(err.to_string().contains(bad), "{err}");
+        }
+        let degree_too_large = json.replace(r#""e":1"#, r#""e":9"#);
+        assert!(serde_json::from_str::<TraceConfig>(&degree_too_large).is_err());
+        let spelled = [
+            (Conversion::non_circular(8, 1, 1), Policy::FirstAvailable, PreemptionPolicy::Compete),
+            (Conversion::full(8), Policy::Auto, PreemptionPolicy::ReservedFirst),
+        ];
+        for ((conversion, policy, preemption), names) in spelled.into_iter().zip([
+            r#""kind":"non_circular","policy":"fa","reservation_horizon":1024,"preemption":"compete"}"#,
+            r#""kind":"full","policy":"auto","reservation_horizon":1024,"preemption":"reserved_first"}"#,
+        ]) {
+            let config = TraceConfig::new(
+                4,
+                &conversion.unwrap(),
+                policy,
+                DEFAULT_RESERVATION_HORIZON,
+                preemption,
+            );
+            let json = serde_json::to_string(&config).unwrap();
+            assert!(json.ends_with(names), "{json}");
+            assert_eq!(serde_json::from_str::<TraceConfig>(&json).unwrap(), config);
+        }
     }
 
     fn reservation_session() -> SessionTrace {
@@ -816,7 +810,7 @@ mod tests {
         }"#;
         let trace = SessionTrace::from_json(json).unwrap();
         assert_eq!(trace.config.reservation_horizon, DEFAULT_RESERVATION_HORIZON);
-        assert_eq!(trace.config.preemption, "reserved_first");
+        assert_eq!(trace.config.preemption, PreemptionPolicy::ReservedFirst);
         let report = trace.replay().unwrap();
         assert_eq!(report.slots, 1);
     }
@@ -831,7 +825,7 @@ mod tests {
             DEFAULT_RESERVATION_HORIZON,
             PreemptionPolicy::ReservedFirst,
         );
-        assert_eq!(config.kind, "non_circular");
+        assert_eq!(config.conversion.kind(), ConversionKind::NonCircular);
         let mut engine = config.build_engine().unwrap();
         let r = engine.advance_slot(&[ConnectionRequest::packet(0, 3, 1)]).unwrap();
         assert_eq!(r.grants.len(), 1);
